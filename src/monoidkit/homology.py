@@ -67,11 +67,6 @@ class SparseIntMatrix:
     def is_zero(self):
         return not self.entries
 
-    def transpose(self):
-        return SparseIntMatrix(
-            self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()})
-
     def to_dense(self):
         dense = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():

@@ -81,18 +81,31 @@ def _unit_ball(sp: SpecialPresentation, max_len: int, budget: Budget):
         return e.partial, False
 
 
-def _certify_from_ball(u: Word, ball_parents) -> InvertibilityCertificate | None:
-    right = left = None
-    for w in sorted(ball_parents, key=lambda x: (len(x), x)):
-        if right is None and w[:len(u)] == u:
-            right = w[len(u):]
-            right_trace = _witness_path(ball_parents, w)[::-1]
-        if left is None and len(w) >= len(u) and w[len(w) - len(u):] == u:
-            left = w[:len(w) - len(u)]
-            left_trace = _witness_path(ball_parents, w)[::-1]
-        if right is not None and left is not None:
-            return InvertibilityCertificate(u, right, left, right_trace, left_trace)
-    return None
+class _InverseIndex:
+    """Shortest right and left inverses within one unit ball, built in one
+    pass: for each prefix (suffix) of length at most max_len, the first ball
+    word that has it.  The cap keeps the index small; callers ask only about
+    words that short.  Ties go to the first word in (len(w), w) order, which
+    compares letter names as Python strings, not by alphabet.shortlex_key;
+    that order is kept on purpose so that artifacts stay byte-identical."""
+
+    def __init__(self, ball_parents, max_len: int):
+        self.parents = ball_parents
+        self.by_prefix, self.by_suffix = {}, {}
+        for w in sorted(ball_parents, key=lambda x: (len(x), x)):
+            n = len(w)
+            for k in range(min(n, max_len) + 1):
+                self.by_prefix.setdefault(w[:k], w)
+                self.by_suffix.setdefault(w[n - k:], w)
+
+    def certify(self, u: Word) -> InvertibilityCertificate | None:
+        right, left = self.by_prefix.get(u), self.by_suffix.get(u)
+        if right is None or left is None:
+            return None
+        return InvertibilityCertificate(
+            u, right[len(u):], left[:len(left) - len(u)],
+            _witness_path(self.parents, right)[::-1],
+            _witness_path(self.parents, left)[::-1])
 
 
 def _longest_relator(sp: SpecialPresentation) -> int:
@@ -112,7 +125,7 @@ def certify_invertible(sp: SpecialPresentation, u: Word,
     budget = Budget(budget_limit)
     cap = 2 * len(u) + 2 * _longest_relator(sp)
     parents, closed = _unit_ball(sp, cap, budget)
-    cert = _certify_from_ball(u, parents)
+    cert = _InverseIndex(parents, len(u)).certify(u)
     if cert is not None:
         return Verdict("proven", [cert], budget.spent)
     if system is not None and system.status == COMPLETE:
@@ -176,17 +189,20 @@ class UnitsAnalysis:
     def rep_of(self, b: str) -> Word:
         return self._rep[b]
 
+    def delta_at(self, w: Word, i: int) -> Word | None:
+        """The delta word that occurs in w at position i, or None.  Delta is
+        a prefix code, so at most one matches and parsing is deterministic."""
+        for d in self.delta:
+            if w[i:i + len(d)] == d:
+                return d
+        return None
+
     def phi(self, w: Word) -> Word:
-        """Image of a Delta*-word under the block map; None if w fails to
-        parse (Delta is a prefix code, so parsing is deterministic)."""
+        """Block-map image of a Delta*-word; None for any other word."""
         out = []
         i = 0
         while i < len(w):
-            hit = None
-            for d in self.delta:
-                if w[i:i + len(d)] == d:
-                    hit = d
-                    break
+            hit = self.delta_at(w, i)
             if hit is None:
                 return None
             out.append(self._phi[hit])
@@ -242,7 +258,8 @@ def compute_delta(sp: SpecialPresentation,
     candidates = []
     for n in range(1, min_len + 1):
         candidates.extend(alphabet.words_of_length(n))
-    invertible = {c for c in candidates if _certify_from_ball(c, ball)}
+    index = _InverseIndex(ball, min_len)
+    invertible = {c for c in candidates if index.certify(c)}
     for c in candidates:
         if c not in invertible:
             continue
@@ -392,14 +409,7 @@ def _delta_runs(ua: UnitsAnalysis, w: Word):
     while i < n:
         start = i
         blocks = []
-        while i < n:
-            hit = None
-            for d in ua.delta:
-                if w[i:i + len(d)] == d:
-                    hit = d
-                    break
-            if hit is None:
-                break
+        while i < n and (hit := ua.delta_at(w, i)) is not None:
             blocks.append(hit)
             i += len(hit)
         if blocks:

@@ -8,7 +8,6 @@ the surface syntax.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -204,10 +203,6 @@ def presentation_from_json(data: dict, name=None) -> Presentation:
         (tuple(r["lhs"]), tuple(r["rhs"])) for r in data["relations"]
     )
     return Presentation(alphabet, relations, name)
-
-
-def presentation_to_json_str(p: Presentation) -> str:
-    return json.dumps(presentation_to_json(p), sort_keys=True)
 
 
 def validate_special(p: Presentation) -> SpecialPresentation:

@@ -1,11 +1,23 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from monoidkit import special
 from monoidkit.words import EMPTY, parse_presentation, validate_special
-from monoidkit.rewriting import BudgetExhausted, equal_words, knuth_bendix, orient_system
+from monoidkit.rewriting import (
+    Budget,
+    BudgetExhausted,
+    _witness_path,
+    equal_words,
+    knuth_bendix,
+    orient_system,
+)
 from monoidkit.special import (
+    InvertibilityCertificate,
     NotIrreducibleError,
     NotOneRelatorError,
     UnitsNotCompletedError,
+    _InverseIndex,
+    _unit_ball,
     certify_invertible,
     compute_delta,
     compute_I_I0,
@@ -277,3 +289,67 @@ def test_loop_generators(ua_bicyclic):
 def test_loop_generators_free_monoid():
     ua = compute_delta(FREE)
     assert loop_generators(ua, "a") == set()
+
+
+def _certify_by_sort_and_scan(u, ball_parents):
+    """The former per-candidate search, kept as the oracle for _InverseIndex:
+    re-sort the whole ball and scan it for the first word with prefix u and
+    the first with suffix u."""
+    right = left = None
+    for w in sorted(ball_parents, key=lambda x: (len(x), x)):
+        if right is None and w[:len(u)] == u:
+            right = w[len(u):]
+            right_trace = _witness_path(ball_parents, w)[::-1]
+        if left is None and len(w) >= len(u) and w[len(w) - len(u):] == u:
+            left = w[:len(w) - len(u)]
+            left_trace = _witness_path(ball_parents, w)[::-1]
+        if right is not None and left is not None:
+            return InvertibilityCertificate(u, right, left, right_trace, left_trace)
+    return None
+
+
+def _special(letters, relators):
+    return sp(f"letters: {' '.join(letters)}\n" + "".join(
+        f"rel: {' '.join(r)} = 1\n" for r in relators))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=6),
+                min_size=1, max_size=2),
+       st.integers(min_value=1, max_value=5000))
+def test_inverse_index_matches_sort_and_scan(relators, budget):
+    # small budgets truncate the ball; the index must agree there too
+    p = _special("abc", relators)
+    min_len = min(map(len, relators))
+    cap = 2 * min_len + 2 * max(map(len, relators))
+    ball, _ = _unit_ball(p, cap, Budget(budget))
+    index = _InverseIndex(ball, min_len)
+    for n in range(min_len + 1):
+        # certify_invertible caps its own index at the length of its word
+        own_cap = _InverseIndex(ball, n)
+        for u in p.alphabet.words_of_length(n):
+            expected = _certify_by_sort_and_scan(u, ball)
+            assert index.certify(u) == expected
+            assert own_cap.certify(u) == expected
+
+
+class _SortAndScanIndex:
+    def __init__(self, ball_parents, max_len):
+        self.ball_parents = ball_parents
+
+    def certify(self, u):
+        return _certify_by_sort_and_scan(u, self.ball_parents)
+
+
+def test_compute_delta_matches_sort_and_scan(monkeypatch):
+    def summary(ua):
+        return (ua.delta, ua.partition, ua.factors, ua.diagnostics,
+                ua.certified)
+
+    for n in range(1, 7):
+        for rel in FREE.alphabet.words_of_length(n):
+            p = _special("ab", [rel])
+            got = summary(compute_delta(p, 3000))
+            with monkeypatch.context() as m:
+                m.setattr(special, "_InverseIndex", _SortAndScanIndex)
+                assert got == summary(compute_delta(p, 3000)), rel
