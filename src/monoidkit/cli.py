@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .words import (
     EMPTY,
@@ -69,6 +68,7 @@ from .constructions import (
     bass_serre_forest_bi,
     check_beta_section,
     check_derivation_wellformed,
+    completed_solver,
     free_product,
     hnn_presentation,
     op_context,
@@ -85,12 +85,6 @@ EXIT_BUDGET = 3
 INPUT_ERRORS = (WordError, RewritingError, CayleyError, HomologyError,
                 SpecialAnalysisError, ConstructionError, OSError,
                 json.JSONDecodeError, KeyError, ValueError)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
 
 
 def _diag(kind, **details):
@@ -118,13 +112,6 @@ def _load_presentation(args):
 
 def _word(s):
     return parse_word_tokens(s.split())
-
-
-def _solver_for(p, budget_limit):
-    result = knuth_bendix(orient_system(p), budget_limit)
-    if not result.completed:
-        raise IncompleteSystemError("completion did not finish within budget")
-    return lambda w: normalize(result.system, w), result.system
 
 
 def _default_margin(p):
@@ -281,7 +268,7 @@ def cmd_analyze_special(args):
 
 
 def _ball_from_args(args, p):
-    solver, _ = _solver_for(p, args.budget)
+    solver, _ = completed_solver(p, args.budget)
     margin = args.margin if args.margin is not None else _default_margin(p)
     return cayley_ball(solver, p.alphabet, args.radius, margin)
 
@@ -480,7 +467,7 @@ def build_parser():
         p.set_defaults(handler=handler)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "dot", "text", "matrix"),
+        p.add_argument("--format", choices=("json", "dot", "matrix"),
                        default="json")
         p.add_argument("--out")
         p.add_argument("--order", type=lambda s: s.split(","), default=None)
@@ -522,9 +509,9 @@ def build_parser():
     return parser
 
 
-def run(config: RunConfig) -> int:
+def run(args) -> int:
     try:
-        return config.args.handler(config.args)
+        return args.handler(args)
     except (BudgetExhausted, IncompleteSystemError) as e:
         _diag("budget_exhausted", detail=str(e))
         return EXIT_BUDGET
@@ -535,7 +522,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return run(RunConfig(args.command, args))
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Exact integer linear algebra: sparse matrices, fraction-free rank,
-Smith normal form, boundary-injectivity certificates, and homology of
-finite chain complexes.
+"""Exact integer linear algebra: sparse matrices, one sparse elimination
+core for rank, kernel vectors and Smith normal form, boundary-injectivity
+certificates, and homology of finite chain complexes.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here
 can overflow or round.
@@ -8,8 +8,7 @@ can overflow or round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd
 
 
@@ -67,12 +66,6 @@ class SparseIntMatrix:
     def is_zero(self):
         return not self.entries
 
-    def to_dense(self):
-        dense = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
     @classmethod
     def from_dense(cls, dense):
         rows = len(dense)
@@ -118,133 +111,103 @@ class SmithForm:
         return {"invariant_factors": list(self.diag), "rank": self.rank}
 
 
-def rank_exact(m: SparseIntMatrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    a = m.to_dense()
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+def _eliminate(m: SparseIntMatrix, _record=False):
+    """Sparse integer elimination to Smith normal form.
+
+    Each step takes the non-zero of smallest absolute value as pivot (ties:
+    least Markowitz cost (r-1)(c-1) from the counts r, c of non-zeros in its
+    row and column, then smallest (row, col)), clears its column by row
+    operations and its row by column operations, and picks again if a
+    remainder is left.  An isolated pivot that does not divide every other
+    entry gets the offending row added to its own row and is cleared again.
+    Unit pivots come first, so tree edges of a Cayley complex contract
+    without a separate collapse.  Returns the invariant factors
+    d1 | d2 | ..., the pivot columns and, with _record, the column
+    transform T (a dict of sparse columns) such that U @ m @ T is the
+    reduced matrix for some unimodular U.
+    """
+    rows, cols = {}, {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = v
+    transform = {c: {c: 1} for c in range(m.cols)} if _record else None
+
+    def put(r, c, v):
+        if v:
+            rows.setdefault(r, {})[c] = cols.setdefault(c, {})[r] = v
+            return
+        del rows[r][c], cols[c][r]
+        if not rows[r]:
+            del rows[r]
+        if not cols[c]:
+            del cols[c]
+
+    def add_row(dst, src, f):  # row dst += f * row src
+        for c, v in list(rows[src].items()):
+            put(dst, c, rows.get(dst, {}).get(c, 0) + f * v)
+
+    def clear(p, q):
+        d = rows[p][q]
+        for r in [r for r in cols[q] if r != p]:
+            add_row(r, p, -(cols[q][r] // d))
+        for c in [c for c in rows[p] if c != q]:
+            f = -(rows[p][c] // d)
+            for r, v in list(cols[q].items()):
+                put(r, c, cols.get(c, {}).get(r, 0) + f * v)
+            if transform is not None:
+                col = transform[c]
+                for i, v in transform[q].items():
+                    col[i] = col.get(i, 0) + f * v
+                    if not col[i]:
+                        del col[i]
+        return len(rows[p]) > 1 or len(cols[q]) > 1
+
+    diag, pivot_cols = [], []
+    while rows:
+        _, _, p, q = min(
+            (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+            for r, row in rows.items() for c, v in row.items())
+        if clear(p, q):
+            continue  # a smaller entry appeared; pick again
+        d = rows[p][q]
+        offender = None
+        if abs(d) > 1:
+            offender = next((r for r, row in rows.items()
+                             if any(v % d for v in row.values())), None)
+        if offender is not None:
+            add_row(p, offender, 1)
+            clear(p, q)  # leaves a remainder smaller than |d|
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        rank += 1
-        if r == rows:
-            break
-    return rank
+        put(p, q, 0)
+        diag.append(abs(d))
+        pivot_cols.append(q)
+    return tuple(diag), pivot_cols, transform
+
+
+def rank_exact(m: SparseIntMatrix) -> int:
+    """Rank over the rationals: the number of invariant factors."""
+    return len(_eliminate(m)[0])
 
 
 def kernel_vector(m: SparseIntMatrix):
-    """An integer vector v != 0 with m @ v = 0, or None if injective."""
-    rows, cols = m.rows, m.cols
-    a = [[Fraction(v) for v in row] for row in m.to_dense()]
-    pivots = {}  # col -> row
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    """An integer vector v != 0 with m @ v = 0 and gcd 1, or None if m is
+    injective: the first non-pivot column of the column transform."""
+    _, pivot_cols, transform = _eliminate(m, _record=True)
+    free = set(range(m.cols)).difference(pivot_cols)
     if not free:
         return None
-    c0 = free[0]
-    v = [Fraction(0)] * cols
-    v[c0] = Fraction(1)
-    for c, row in pivots.items():
-        v[c] = -a[row][c0]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
+    column = transform[min(free)]
+    v = [column.get(i, 0) for i in range(m.cols)]
     g = 0
-    for x in ints:
+    for x in v:
         g = gcd(g, x)
-    return [x // g for x in ints]
+    return [x // g for x in v]
 
 
 def smith_normal_form(m: SparseIntMatrix) -> SmithForm:
-    """Invariant factors by elementary row/column operations with
-    smallest-absolute-value pivot selection."""
-    a = m.to_dense()
-    rows, cols = m.rows, m.cols
-    diag = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        # clear row and column below/right of (top, top)
-        dirty = False
-        for i in range(top + 1, rows):
-            if a[i][top]:
-                q = a[i][top] // a[top][top]
-                for j in range(top, cols):
-                    a[i][j] -= q * a[top][j]
-                if a[i][top]:
-                    dirty = True
-        for j in range(top + 1, cols):
-            if a[top][j]:
-                q = a[top][j] // a[top][top]
-                for i in range(top, rows):
-                    a[i][j] -= q * a[i][top]
-                if a[top][j]:
-                    dirty = True
-        if dirty:
-            continue  # a smaller pivot appeared; redo this corner
-        # enforce divisibility: pivot must divide every remaining entry
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if a[i][j] % a[top][top]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, cols):
-                a[top][j] += a[offender][j]
-            continue
-        diag.append(abs(a[top][top]))
-        top += 1
-        if top == rows or top == cols:
-            break
-    return SmithForm(tuple(diag), len(diag))
+    """Invariant factors d1 | d2 | ... of m; the rank is their number."""
+    diag = _eliminate(m)[0]
+    return SmithForm(diag, len(diag))
 
 
 @dataclass
@@ -285,13 +248,13 @@ def chain_homology(boundaries: list[SparseIntMatrix]):
     dims = [b.rows for b in boundaries]
     if boundaries:
         dims.append(boundaries[-1].cols)
-    ranks = [rank_exact(b) for b in boundaries]
+    forms = [smith_normal_form(b) for b in boundaries]
     out = []
     for i, dim in enumerate(dims):
-        rank_in = ranks[i] if i < len(ranks) else 0       # boundary into C_i
-        rank_out = ranks[i - 1] if i > 0 else 0           # boundary out of C_i
+        rank_in = forms[i].rank if i < len(forms) else 0  # into C_i
+        rank_out = forms[i - 1].rank if i > 0 else 0      # out of C_i
         betti = dim - rank_out - rank_in
-        torsion = smith_normal_form(boundaries[i]).torsion() if i < len(boundaries) else ()
+        torsion = forms[i].torsion() if i < len(forms) else ()
         out.append({"degree": i, "betti": betti, "torsion": list(torsion)})
     return out
 

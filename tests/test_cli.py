@@ -82,6 +82,14 @@ def test_syntax_error_is_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_format_text_is_rejected(capsys, bicyclic_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["cayley", "--presentation", bicyclic_file, "--radius", "2",
+              "--format", "text"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'text'" in capsys.readouterr().err
+
+
 def test_complete(capsys, bicyclic_file):
     code, data = run_json(capsys, "complete", "--presentation", bicyclic_file)
     assert code == 0

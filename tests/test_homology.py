@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from math import gcd
 
+from monoidkit.cayley import cayley_ball, cayley_complex_chain
+from monoidkit.constructions import completed_solver
+from monoidkit.words import parse_presentation, validate_special
 from monoidkit.homology import (
     CompositeNotZeroError,
     SparseIntMatrix,
@@ -17,6 +21,105 @@ from monoidkit.homology import (
 
 def M(dense):
     return SparseIntMatrix.from_dense(dense)
+
+
+def _to_dense(m):
+    dense = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        dense[r][c] = v
+    return dense
+
+
+# Test-only oracles: the dense Bareiss rank and the dense Smith normal form
+# that the sparse elimination core replaced, kept as they were.
+
+
+def oracle_rank_bareiss(m: SparseIntMatrix) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    a = _to_dense(m)
+    rows, cols = m.rows, m.cols
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if a[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        rank += 1
+        if r == rows:
+            break
+    return rank
+
+
+def oracle_smith_dense(m: SparseIntMatrix) -> tuple:
+    """Invariant factors by elementary row/column operations with
+    smallest-absolute-value pivot selection."""
+    a = _to_dense(m)
+    rows, cols = m.rows, m.cols
+    diag = []
+    top = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        # clear row and column below/right of (top, top)
+        dirty = False
+        for i in range(top + 1, rows):
+            if a[i][top]:
+                q = a[i][top] // a[top][top]
+                for j in range(top, cols):
+                    a[i][j] -= q * a[top][j]
+                if a[i][top]:
+                    dirty = True
+        for j in range(top + 1, cols):
+            if a[top][j]:
+                q = a[top][j] // a[top][top]
+                for i in range(top, rows):
+                    a[i][j] -= q * a[i][top]
+                if a[top][j]:
+                    dirty = True
+        if dirty:
+            continue  # a smaller pivot appeared; redo this corner
+        # enforce divisibility: pivot must divide every remaining entry
+        offender = None
+        for i in range(top + 1, rows):
+            for j in range(top + 1, cols):
+                if a[i][j] % a[top][top]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for j in range(top, cols):
+                a[top][j] += a[offender][j]
+            continue
+        diag.append(abs(a[top][top]))
+        top += 1
+        if top == rows or top == cols:
+            break
+    return tuple(diag)
 
 
 def determinantal_divisors(dense, rows, cols):
@@ -179,3 +282,61 @@ def test_exactness_check_augmentation():
     rep = exactness_check([b1], augmentation=M([[1]]))
     assert rep["augmentation_defect"] == 0
     assert rep["total_defect"] == 0
+
+
+@st.composite
+def small_matrices(draw):
+    """0x0 to 7x7 (0xn and nx0 included), entries -6..6, mostly zero."""
+    rows = draw(st.integers(0, 7))
+    cols = draw(st.integers(0, 7))
+    entry = st.integers(-18, 18).map(lambda x: x if abs(x) <= 6 else 0)
+    values = draw(st.lists(entry, min_size=rows * cols,
+                           max_size=rows * cols))
+    return SparseIntMatrix(rows, cols, {
+        divmod(k, cols): v for k, v in enumerate(values) if v})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+def test_elimination_core_matches_dense_oracles(m):
+    rank = rank_exact(m)
+    assert smith_normal_form(m).diag == oracle_smith_dense(m)
+    assert rank == oracle_rank_bareiss(m)
+    v = kernel_vector(m)
+    if rank == m.cols:
+        assert v is None
+        return
+    assert len(v) == m.cols and any(v)
+    assert all(isinstance(x, int) for x in v)
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    assert g == 1
+    column = SparseIntMatrix(m.cols, 1, {(i, 0): x for i, x in enumerate(v)})
+    assert (m @ column).is_zero()
+
+
+def _cayley_boundaries(relator, radius):
+    """(d1, d2) of the Cayley 2-complex of <letters | relator = 1> on the
+    ball of the given radius, with margin |relator|."""
+    letters = " ".join(sorted(set(relator)))
+    sp = validate_special(parse_presentation(
+        f"letters: {letters}\nrel: {' '.join(relator)} = 1\n"))
+    solver, _ = completed_solver(sp.base)
+    g = cayley_ball(solver, sp.base.alphabet, radius, len(relator))
+    export = cayley_complex_chain(sp, g)
+    return export.boundary1, export.boundary2
+
+
+@pytest.mark.parametrize("relator,radius", [
+    *(("ab", r) for r in range(6, 13)),
+    ("abab", 6), ("aab", 7), ("abc", 4), ("aaaaa", 12)])
+def test_smith_matches_sympy_on_cayley_boundaries(relator, radius):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    for m in _cayley_boundaries(relator, radius):
+        want = tuple(abs(int(d)) for d in invariant_factors(
+            sympy.Matrix(_to_dense(m)), domain=sympy.ZZ) if d)
+        assert smith_normal_form(m).diag == want
+        assert rank_exact(m) == len(want)
