@@ -30,7 +30,6 @@ from .rewriting import (
     RewritingError,
     equal_words,
     knuth_bendix,
-    normalize,
     normalize_trace,
     orient_system,
 )
@@ -52,8 +51,7 @@ from .cayley import (
 )
 from .homology import (
     HomologyError,
-    chain_homology,
-    exactness_check,
+    _homology_and_exactness,
 )
 from .constructions import (
     AmalgamSpec,
@@ -205,13 +203,12 @@ def cmd_rewrite(args):
     word = _word(args.word)
     system.alphabet.check_word(word)
     try:
-        normalize(system, word, Budget(args.budget))
+        trace = normalize_trace(system, word, Budget(args.budget))
     except BudgetExhausted as e:
         _emit_json(args, {"input": format_word(word),
                           "partial": format_word(e.partial)})
         _diag("budget_exhausted")
         return EXIT_BUDGET
-    trace = normalize_trace(system, word)
     _emit_json(args, {
         "input": format_word(word),
         "normal_form": format_word(trace[-1]),
@@ -411,9 +408,8 @@ def cmd_homology(args):
     sp = validate_special(_load_presentation(args))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
-    homology = chain_homology([export.boundary1, export.boundary2])
-    exact = exactness_check([export.boundary2, export.boundary1],
-                            augmentation=export.augmentation)
+    homology, exact = _homology_and_exactness(
+        [export.boundary1, export.boundary2], export.augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})
     if exact["total_defect"] != 0:
         return EXIT_VERIFY

@@ -189,10 +189,14 @@ class OPContext:
         self.basis = tuple(tuple(c) for c in spec.free_basis)
         self.phi = {tuple(g): tuple(v) for g, v in spec.phi.items()}
         self.a_gens = tuple(tuple(g) for g in spec.a_gens)
+        self._a_pools = {}
 
     def a_elements(self, max_len: int):
         """Normal forms of A-elements up to max_len with one generator
-        decomposition each (BFS, so shortest product first)."""
+        decomposition each (BFS, so shortest product first).  Built once
+        per max_len; the dict is shared, so callers must not change it."""
+        if max_len in self._a_pools:
+            return self._a_pools[max_len]
         seen = {EMPTY: ()}
         frontier = [EMPTY]
         while frontier:
@@ -204,6 +208,7 @@ class OPContext:
                         seen[prod] = seen[w] + (g,)
                         nxt.append(prod)
             frontier = nxt
+        self._a_pools[max_len] = seen
         return seen
 
     def factor(self, m_word: Word):

@@ -235,6 +235,13 @@ def check_boundary_injective(m: SparseIntMatrix):
     return Verdict("refuted", [InjectivityCertificate(r, m.cols, ker)], 0)
 
 
+def _require_zero_composites(maps, message):
+    """maps run from the top degree down; each composite must vanish."""
+    for upper, lower in zip(maps, maps[1:]):
+        if not (lower @ upper).is_zero():
+            raise CompositeNotZeroError(message)
+
+
 def chain_homology(boundaries: list[SparseIntMatrix]):
     """Betti numbers and torsion of a finite chain complex.
 
@@ -242,13 +249,15 @@ def chain_homology(boundaries: list[SparseIntMatrix]):
     (rows = rank of C_i, cols = rank of C_{i+1}).  The top degree is
     len(boundaries).
     """
-    for lower, upper in zip(boundaries, boundaries[1:]):
-        if not (lower @ upper).is_zero():
-            raise CompositeNotZeroError("consecutive boundary maps do not compose to zero")
+    _require_zero_composites(
+        boundaries[::-1], "consecutive boundary maps do not compose to zero")
+    return _homology(boundaries, [smith_normal_form(b) for b in boundaries])
+
+
+def _homology(boundaries, forms):
     dims = [b.rows for b in boundaries]
     if boundaries:
         dims.append(boundaries[-1].cols)
-    forms = [smith_normal_form(b) for b in boundaries]
     out = []
     for i, dim in enumerate(dims):
         rank_in = forms[i].rank if i < len(forms) else 0  # into C_i
@@ -271,10 +280,11 @@ def exactness_check(seq: list[SparseIntMatrix], augmentation: SparseIntMatrix = 
     maps = list(seq)
     if augmentation is not None:
         maps.append(augmentation)
-    for upper, lower in zip(maps, maps[1:]):
-        if not (lower @ upper).is_zero():
-            raise CompositeNotZeroError("consecutive composite is non-zero")
-    ranks = [rank_exact(m) for m in maps]
+    _require_zero_composites(maps, "consecutive composite is non-zero")
+    return _exactness(maps, [rank_exact(m) for m in maps], augmentation)
+
+
+def _exactness(maps, ranks, augmentation):
     defects = []
     for i in range(1, len(maps)):
         nullity = maps[i].cols - ranks[i]
@@ -289,3 +299,16 @@ def exactness_check(seq: list[SparseIntMatrix], augmentation: SparseIntMatrix = 
         report["augmentation_defect"] = aug_defect
         report["total_defect"] += aug_defect
     return report
+
+
+def _homology_and_exactness(boundaries, augmentation):
+    """chain_homology(boundaries) and exactness_check(boundaries[::-1],
+    augmentation), with one elimination per boundary for both."""
+    _require_zero_composites(
+        boundaries[::-1], "consecutive boundary maps do not compose to zero")
+    maps = boundaries[::-1] + [augmentation]
+    _require_zero_composites(maps[-2:], "consecutive composite is non-zero")
+    forms = [smith_normal_form(b) for b in boundaries]
+    ranks = [f.rank for f in reversed(forms)] + [rank_exact(augmentation)]
+    return (_homology(boundaries, forms),
+            _exactness(maps, ranks, augmentation))

@@ -3,13 +3,16 @@ Knuth-Bendix completion, and the congruence-ball oracle.
 
 The reduction order is always shortlex over the alphabet order.  All
 searches are budgeted; one rule application or one critical-pair join
-attempt costs one step, so results are machine independent.
+attempt costs one step, so results are machine independent.  Rewriting,
+critical pairs, interreduction and irreducible words all look redexes up
+in one trie over the rule left sides, built once per RewriteSystem.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .words import EMPTY, Alphabet, Presentation, Word
 
@@ -72,6 +75,74 @@ class RewriteSystem:
         if self.status not in (ORIENTED, COMPLETE, PARTIAL):
             raise UnorientedSystemError(f"system has status {self.status!r}")
 
+    @cached_property
+    def _index(self):
+        return _Index(self.rules)
+
+
+class _Index:
+    """Trie over the rule left sides (all non-empty, as orient_system makes
+    them).  A node is [children, ending, below]: children by letter, then
+    the indices of the rules whose lhs ends at the node and of those whose
+    lhs passes strictly below it, both ascending."""
+
+    def __init__(self, rules):
+        self.root = [{}, [], []]
+        self.longest = 0
+        for ri, rule in enumerate(rules):
+            node = self.root
+            for a in rule.lhs:
+                child = node[0].get(a)
+                if child is None:
+                    child = node[0][a] = [{}, [], []]
+                node[2].append(ri)
+                node = child
+            node[1].append(ri)
+            self.longest = max(self.longest, len(rule.lhs))
+
+    def leftmost(self, w: Word, start=0, skip=None):
+        """(position, rule index) of the leftmost redex at or after start,
+        lowest rule index first, ignoring rule skip; None if there is none."""
+        root = self.root[0]
+        n = len(w)
+        for pos in range(start, n):
+            node = root.get(w[pos])
+            if node is None:
+                continue
+            hit = None
+            i = pos + 1
+            while True:
+                children, ending, _ = node
+                if ending:
+                    # ascending, so the first index other than skip is lowest
+                    for ri in ending:
+                        if ri != skip:
+                            if hit is None or ri < hit:
+                                hit = ri
+                            break
+                if i == n:
+                    break
+                node = children.get(w[i])
+                if node is None:
+                    break
+                i += 1
+            if hit is not None:
+                return pos, hit
+        return None
+
+    def ends_in_redex(self, w: Word) -> bool:
+        """Whether some lhs is a suffix of w."""
+        for pos in range(max(0, len(w) - self.longest), len(w)):
+            node = self.root
+            for a in w[pos:]:
+                node = node[0].get(a)
+                if node is None:
+                    break
+            else:
+                if node[1]:
+                    return True
+        return False
+
 
 @dataclass
 class Verdict:
@@ -118,21 +189,32 @@ def orient_system(source, alphabet: Alphabet = None) -> RewriteSystem:
     return RewriteSystem(alphabet, tuple(rules), ORIENTED)
 
 
-def _find_leftmost(rules, w: Word):
-    """(position, rule index) of the leftmost redex, lowest rule index first."""
-    n = len(w)
-    for pos in range(n):
-        for ri, rule in enumerate(rules):
-            ln = len(rule.lhs)
-            if pos + ln <= n and w[pos:pos + ln] == rule.lhs:
-                return pos, ri
-    return None
+def _rewrite(s: RewriteSystem, w: Word, budget: Budget = None,
+             trace: list = None) -> Word:
+    """Rewrite the leftmost redex, lowest rule index first, to a fixed point,
+    one budget step per rewrite; each new word is appended to trace."""
+    index = s._index
+    back = index.longest - 1
+    pos = 0
+    while True:
+        hit = index.leftmost(w, pos)
+        if hit is None:
+            return w
+        pos, ri = hit
+        if budget is not None and not budget.spend():
+            raise BudgetExhausted(w)
+        rule = s.rules[ri]
+        w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
+        if trace is not None:
+            trace.append(w)
+        # a redex starting further left would lie in the unchanged prefix
+        pos = max(0, pos - back)
 
 
 def reduce_once(s: RewriteSystem, w: Word, budget: Budget = None):
     """Apply the leftmost-lowest-index rule once, or None if w is irreducible."""
     s.require_oriented()
-    hit = _find_leftmost(s.rules, w)
+    hit = s._index.leftmost(w)
     if hit is None:
         return None
     pos, ri = hit
@@ -145,54 +227,55 @@ def reduce_once(s: RewriteSystem, w: Word, budget: Budget = None):
 def normalize(s: RewriteSystem, w: Word, budget: Budget = None) -> Word:
     """Reduce to a fixed point.  Terminates: every rule is shortlex-decreasing."""
     s.require_oriented()
-    while True:
-        nxt = reduce_once(s, w, budget)
-        if nxt is None:
-            return w
-        w = nxt
+    return _rewrite(s, w, budget)
 
 
-def normalize_trace(s: RewriteSystem, w: Word) -> list[Word]:
+def normalize_trace(s: RewriteSystem, w: Word, budget: Budget = None) -> list[Word]:
+    """Every word normalize passes through, w first and the normal form last;
+    raises BudgetExhausted like normalize."""
+    s.require_oriented()
     trace = [w]
-    while True:
-        nxt = reduce_once(s, w)
-        if nxt is None:
-            return trace
-        w = nxt
-        trace.append(w)
+    _rewrite(s, w, budget, trace)
+    return trace
 
 
 def critical_pairs(s: RewriteSystem):
-    """All overlap and containment critical pairs, one-step reduced both ways.
+    """All overlap and containment critical pairs, one-step reduced both ways,
+    generated by rule_i, then rule_j, then position.
 
     Each entry is (left, right, provenance) where provenance is
     (kind, rule_i, rule_j, position) and position is the start of rule_j's
     lhs inside the superposition word.
     """
     s.require_oriented()
-    out = []
     rules = s.rules
+    root = s._index.root
     for i, r1 in enumerate(rules):
-        for j, r2 in enumerate(rules):
-            l1, l2 = r1.lhs, r2.lhs
-            found = []
-            # proper overlap: non-empty proper suffix of l1 = prefix of l2
-            for k in range(1, min(len(l1), len(l2))):
-                if l1[len(l1) - k:] == l2[:k]:
-                    left = r1.rhs + l2[k:]
-                    right = l1[:len(l1) - k] + r2.rhs
-                    found.append((len(l1) - k, ("overlap", i, j, len(l1) - k),
-                                  left, right))
-            # containment: l2 occurs inside l1 (distinct rules)
-            if i != j and len(l2) <= len(l1):
-                for p in range(len(l1) - len(l2) + 1):
-                    if l1[p:p + len(l2)] == l2:
-                        left = r1.rhs
-                        right = l1[:p] + r2.rhs + l1[p + len(l2):]
-                        found.append((p, ("contain", i, j, p), left, right))
-            for _, prov, left, right in sorted(found, key=lambda t: t[0]):
-                out.append((left, right, prov))
-    return out
+        l1 = r1.lhs
+        found = []
+        for p in range(len(l1)):
+            node = root
+            for a in l1[p:]:
+                node = node[0].get(a)
+                if node is None:
+                    break
+                # containment: l2 = l1[p:p + len(l2)] (distinct rules)
+                for j in node[1]:
+                    if j != i:
+                        l2 = rules[j].lhs
+                        found.append((j, p, "contain", r1.rhs,
+                                      l1[:p] + rules[j].rhs + l1[p + len(l2):]))
+            else:
+                # proper overlap: the suffix l1[p:] is a proper prefix of l2
+                if p:
+                    for j in node[2]:
+                        l2 = rules[j].lhs
+                        found.append((j, p, "overlap",
+                                      r1.rhs + l2[len(l1) - p:],
+                                      l1[:p] + rules[j].rhs))
+        found.sort(key=lambda t: (t[0], t[1]))
+        for j, p, kind, left, right in found:
+            yield left, right, (kind, i, j, p)
 
 
 def _interreduce(alphabet: Alphabet, rules):
@@ -202,13 +285,15 @@ def _interreduce(alphabet: Alphabet, rules):
     while changed:
         changed = False
         work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
+        index = _Index(work)
         for idx, rule in enumerate(work):
+            if (index.leftmost(rule.lhs, skip=idx) is None
+                    and index.leftmost(rule.rhs, skip=idx) is None):
+                continue
             others = RewriteSystem(
                 alphabet, tuple(work[:idx] + work[idx + 1:]), ORIENTED)
             lhs = normalize(others, rule.lhs)
             rhs = normalize(others, rule.rhs)
-            if lhs == rule.lhs and rhs == rule.rhs:
-                continue
             del work[idx]
             if lhs != rhs:
                 if alphabet.shortlex_less(lhs, rhs):
@@ -238,7 +323,6 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
 
     while True:
         current = RewriteSystem(alphabet, tuple(rules), ORIENTED)
-        added = False
         for left, right, _prov in critical_pairs(current):
             if not budget.spend():  # join attempt
                 return CompletionResult(
@@ -256,9 +340,8 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
             if alphabet.shortlex_less(u, v):
                 u, v = v, u
             rules = _interreduce(alphabet, rules + [RewriteRule(u, v)])
-            added = True
             break
-        if not added:
+        else:
             return CompletionResult(
                 RewriteSystem(alphabet, tuple(rules), COMPLETE),
                 True, budget.spent)
@@ -330,11 +413,11 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
     if isinstance(ctx, RewriteSystem):
         if ctx.status == COMPLETE:
             budget = Budget(budget_limit)
-            nu = normalize(ctx, u, budget)
-            nv = normalize(ctx, v, budget)
+            tu, tv = [u], [v]
+            nu = _rewrite(ctx, u, budget, tu)
+            nv = _rewrite(ctx, v, budget, tv)
             if nu == nv:
-                witness = normalize_trace(ctx, u) + normalize_trace(ctx, v)[::-1]
-                return Verdict("proven", witness, budget.spent)
+                return Verdict("proven", tu + tv[::-1], budget.spent)
             return Verdict("refuted", [nu, nv], budget.spent)
         raise UnorientedSystemError(
             "equal_words needs a completed system or a presentation")
@@ -356,10 +439,13 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
 
 
 def irreducible_words(s: RewriteSystem, max_len: int):
-    """All irreducible words of length <= max_len, shortlex order."""
-    out = []
+    """All irreducible words of length <= max_len, shortlex order.  Each
+    length extends the irreducible words one shorter by every letter."""
+    index = s._index
+    out, level = [], [EMPTY]
     for n in range(max_len + 1):
-        for w in s.alphabet.words_of_length(n):
-            if _find_leftmost(s.rules, w) is None:
-                out.append(w)
+        if n:
+            longer = (u + (a,) for u in level for a in s.alphabet.order)
+            level = [v for v in longer if not index.ends_in_redex(v)]
+        out.extend(level)
     return out

@@ -1,18 +1,24 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoidkit.words import EMPTY, Alphabet, parse_presentation
 from monoidkit.rewriting import (
     COMPLETE,
+    ORIENTED,
+    PARTIAL,
+    Budget,
     BudgetExhausted,
+    CompletionResult,
     RewriteRule,
     RewriteSystem,
+    _interreduce,
     congruence_ball,
     critical_pairs,
     equal_words,
     irreducible_words,
     knuth_bendix,
     normalize,
+    normalize_trace,
     orient_system,
     reduce_once,
 )
@@ -53,7 +59,7 @@ def test_normalize_idempotent():
 
 
 def test_critical_pairs_bicyclic_empty():
-    assert critical_pairs(system(BICYCLIC)) == []
+    assert list(critical_pairs(system(BICYCLIC))) == []
 
 
 def test_critical_pairs_involution():
@@ -166,3 +172,242 @@ def test_shortlex_decrease_under_rewrite():
             break
         assert s.alphabet.shortlex_less(nxt, seen[-1])
         seen.append(nxt)
+
+
+# ---------------------------------------------------------------------------
+# The scan-based engine the rule-trie index replaced, kept as the oracle:
+# every rule is tried at every position, the search restarts at position 0
+# after each rewrite, critical pairs come from an all-pairs slice loop, and
+# interreduction normalizes each rule against a fresh system of the others.
+
+
+def oracle_find_leftmost(rules, word):
+    n = len(word)
+    for pos in range(n):
+        for ri, rule in enumerate(rules):
+            ln = len(rule.lhs)
+            if pos + ln <= n and word[pos:pos + ln] == rule.lhs:
+                return pos, ri
+    return None
+
+
+def oracle_reduce_once(s, word, budget=None):
+    hit = oracle_find_leftmost(s.rules, word)
+    if hit is None:
+        return None
+    pos, ri = hit
+    rule = s.rules[ri]
+    if budget is not None and not budget.spend():
+        raise BudgetExhausted(word)
+    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
+
+
+def oracle_normalize_trace(s, word, budget=None):
+    trace = [word]
+    while True:
+        nxt = oracle_reduce_once(s, trace[-1], budget)
+        if nxt is None:
+            return trace
+        trace.append(nxt)
+
+
+def oracle_normalize(s, word, budget=None):
+    return oracle_normalize_trace(s, word, budget)[-1]
+
+
+def oracle_critical_pairs(s):
+    out = []
+    rules = s.rules
+    for i, r1 in enumerate(rules):
+        for j, r2 in enumerate(rules):
+            l1, l2 = r1.lhs, r2.lhs
+            found = []
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[len(l1) - k:] == l2[:k]:
+                    left = r1.rhs + l2[k:]
+                    right = l1[:len(l1) - k] + r2.rhs
+                    found.append((len(l1) - k, ("overlap", i, j, len(l1) - k),
+                                  left, right))
+            if i != j and len(l2) <= len(l1):
+                for p in range(len(l1) - len(l2) + 1):
+                    if l1[p:p + len(l2)] == l2:
+                        left = r1.rhs
+                        right = l1[:p] + r2.rhs + l1[p + len(l2):]
+                        found.append((p, ("contain", i, j, p), left, right))
+            for _, prov, left, right in sorted(found, key=lambda t: t[0]):
+                out.append((left, right, prov))
+    return out
+
+
+def oracle_interreduce(alphabet, rules):
+    work = list(rules)
+    changed = True
+    while changed:
+        changed = False
+        work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
+        for idx, rule in enumerate(work):
+            others = RewriteSystem(
+                alphabet, tuple(work[:idx] + work[idx + 1:]), ORIENTED)
+            lhs = oracle_normalize(others, rule.lhs)
+            rhs = oracle_normalize(others, rule.rhs)
+            if lhs == rule.lhs and rhs == rule.rhs:
+                continue
+            del work[idx]
+            if lhs != rhs:
+                if alphabet.shortlex_less(lhs, rhs):
+                    lhs, rhs = rhs, lhs
+                new_rule = RewriteRule(lhs, rhs)
+                if new_rule not in work:
+                    work.append(new_rule)
+            changed = True
+            break
+    work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
+    seen, final = set(), []
+    for r in work:
+        if r not in seen:
+            seen.add(r)
+            final.append(r)
+    return final
+
+
+def oracle_knuth_bendix(s, budget_limit):
+    budget = Budget(budget_limit)
+    alphabet = s.alphabet
+    rules = oracle_interreduce(alphabet, s.rules)
+    while True:
+        current = RewriteSystem(alphabet, tuple(rules), ORIENTED)
+        added = False
+        for left, right, _prov in oracle_critical_pairs(current):
+            if not budget.spend():
+                return CompletionResult(
+                    RewriteSystem(alphabet, tuple(rules), PARTIAL),
+                    False, budget.spent)
+            try:
+                u = oracle_normalize(current, left, budget)
+                v = oracle_normalize(current, right, budget)
+            except BudgetExhausted:
+                return CompletionResult(
+                    RewriteSystem(alphabet, tuple(rules), PARTIAL),
+                    False, budget.spent)
+            if u == v:
+                continue
+            if alphabet.shortlex_less(u, v):
+                u, v = v, u
+            rules = oracle_interreduce(alphabet, rules + [RewriteRule(u, v)])
+            added = True
+            break
+        if not added:
+            return CompletionResult(
+                RewriteSystem(alphabet, tuple(rules), COMPLETE),
+                True, budget.spent)
+
+
+def words_over(letters, min_size, max_size):
+    return st.lists(st.sampled_from(letters), min_size=min_size,
+                    max_size=max_size).map(tuple)
+
+
+@st.composite
+def raw_systems(draw):
+    """Oriented raw rule lists over 2 or 3 letters, left sides of length 1
+    to 5, with duplicate left sides (other right sides) and left sides
+    inside other left sides mixed in."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    lhss = draw(st.lists(words_over(letters, 1, 5), min_size=1, max_size=6))
+    pairs = [(lhs, draw(words_over(letters, 0, len(lhs)))) for lhs in lhss]
+    for lhs in draw(st.lists(st.sampled_from(lhss), max_size=2)):
+        pairs.append((lhs, draw(words_over(letters, 0, len(lhs)))))
+    for lhs in draw(st.lists(st.sampled_from(lhss), max_size=2)):
+        i = draw(st.integers(0, len(lhs) - 1))
+        j = draw(st.integers(i + 1, len(lhs)))
+        pairs.append((lhs[i:j], draw(words_over(letters, 0, j - i))))
+    pairs = draw(st.permutations(pairs))
+    return orient_system([RewriteRule(u, v) for u, v in pairs],
+                         Alphabet(tuple(letters)))
+
+
+def raw(letters, *rules):
+    return orient_system([RewriteRule(w(u), w(v)) for u, v in rules],
+                         Alphabet(tuple(letters)))
+
+
+@st.composite
+def systems_and_words(draw):
+    s = draw(raw_systems())
+    return s, draw(words_over(s.alphabet.letters, 0, 12))
+
+
+def _outcome(run, s, word, limit):
+    """What a budgeted run returns or where it stops, and what it charged."""
+    budget = Budget(limit)
+    try:
+        result = ("done", run(s, word, budget))
+    except BudgetExhausted as e:
+        result = ("exhausted", e.partial)
+    return result, budget.spent
+
+
+# after rewriting c at position 2 the longest lhs a a b starts at 0
+@example((raw("abc", ("aab", "b"), ("c", "b")), w("aac")), 10)
+# duplicate left sides: the lower rule index wins
+@example((raw("ab", ("ab", "a"), ("ab", "b")), w("bab")), 10)
+@settings(max_examples=300, deadline=None)
+@given(systems_and_words(), st.integers(0, 40))
+def test_normalize_matches_scan_oracle(case, limit):
+    s, word = case
+    assert reduce_once(s, word) == oracle_reduce_once(s, word)
+    for budget in (limit, 10**4):
+        assert (_outcome(normalize, s, word, budget)
+                == _outcome(oracle_normalize, s, word, budget))
+        assert (_outcome(normalize_trace, s, word, budget)
+                == _outcome(oracle_normalize_trace, s, word, budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_systems())
+def test_critical_pairs_and_interreduce_match_scan_oracle(s):
+    assert list(critical_pairs(s)) == oracle_critical_pairs(s)
+    assert _interreduce(s.alphabet, s.rules) == oracle_interreduce(
+        s.alphabet, s.rules)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_systems())
+def test_irreducible_words_match_scan_oracle(s):
+    want = [u for n in range(6) for u in s.alphabet.words_of_length(n)
+            if oracle_find_leftmost(s.rules, u) is None]
+    assert irreducible_words(s, 5) == want
+
+
+@st.composite
+def relation_systems(draw):
+    """Oriented relations u = v with u of length 2 to 5 and v of length 1
+    to 5, which interreduce less and often never complete."""
+    letters = draw(st.sampled_from(["ab", "abc"]))
+    rels = draw(st.lists(st.tuples(words_over(letters, 2, 5),
+                                   words_over(letters, 1, 5)),
+                         min_size=1, max_size=3))
+    return orient_system([RewriteRule(u, v) for u, v in rels],
+                         Alphabet(tuple(letters)))
+
+
+@example(raw("ab", ("aba", "bab")), 600)
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(raw_systems(), relation_systems()), st.integers(1, 3000))
+def test_knuth_bendix_matches_scan_oracle(s, limit):
+    got, want = knuth_bendix(s, limit), oracle_knuth_bendix(s, limit)
+    assert got.system == want.system
+    assert (got.completed, got.steps) == (want.completed, want.steps)
+
+
+def test_equal_words_witness_is_both_traces():
+    s = knuth_bendix(system(BICYCLIC)).system
+    u, v = w("aabb"), w("abab")
+    verdict = equal_words(s, u, v, budget_limit=10)
+    assert verdict.proven
+    assert verdict.witness == (oracle_normalize_trace(s, u)
+                               + oracle_normalize_trace(s, v)[::-1])
+    assert verdict.budget_spent == 4
+    with pytest.raises(BudgetExhausted) as e:
+        equal_words(s, u, v, budget_limit=3)
+    assert e.value.partial == w("ab")
