@@ -462,9 +462,9 @@ def build_parser():
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "dot", "matrix"),
-                       default="json")
+        if flags.get("formats"):
+            p.add_argument("--format", choices=flags["formats"],
+                           default="json")
         p.add_argument("--out")
         p.add_argument("--order", type=lambda s: s.split(","), default=None)
         if flags.get("presentation"):
@@ -490,11 +490,13 @@ def build_parser():
     p = add("analyze-special", cmd_analyze_special, presentation=True)
     p.add_argument("--emit", choices=("units", "right-units", "delta", "all"),
                    default="all")
-    add("cayley", cmd_cayley, presentation=True, radius=True)
+    add("cayley", cmd_cayley, presentation=True, radius=True,
+        formats=("json", "dot"))
     add("condense", cmd_condense, presentation=True, radius=True)
     add("check-tree", cmd_check_tree, presentation=True, radius=True)
     add("construct", cmd_construct, spec=True)
-    p = add("bass-serre", cmd_bass_serre, spec=True, radius=True)
+    p = add("bass-serre", cmd_bass_serre, spec=True, radius=True,
+            formats=("json", "dot", "matrix"))
     p.add_argument("--forest", action="store_true")
     add("chain", cmd_chain, presentation=True, radius=True)
     add("homology", cmd_homology, presentation=True, radius=True)
@@ -502,6 +504,7 @@ def build_parser():
             radius=True)
     p.add_argument("--forest", action="store_true")
     p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 

@@ -135,14 +135,26 @@ def otto_pride_presentation(spec: OttoPrideSpec) -> Presentation:
 
 def hnn_presentation(m: Presentation, a_gens, b_gens, phi,
                      stable_letter="t") -> Presentation:
+    """M plus an invertible t with g t = t phi(g) for each generator g of A;
+    b_gens must list the images phi(a_gens) in order."""
     t = stable_letter
     ti = t + "-"
     if t in m.alphabet or ti in m.alphabet:
         raise ConstructionError("stable letters collide with M")
+    images = []
+    for g in a_gens:
+        if g not in phi:
+            raise ConstructionError(
+                f"a_gens word {format_word(g)} has no phi image")
+        images.append(tuple(phi[g]))
+    if tuple(tuple(b) for b in b_gens) != tuple(images):
+        raise ConstructionError(
+            f"b_gens {[format_word(b) for b in b_gens]} are not the phi "
+            f"images {[format_word(b) for b in images]} of a_gens")
     letters = m.alphabet.letters + (t, ti)
     extra = [((t, ti), EMPTY), ((ti, t), EMPTY)]
-    for g in a_gens:
-        extra.append((tuple(g) + (t,), (t,) + tuple(phi[g])))
+    for g, image in zip(a_gens, images):
+        extra.append((tuple(g) + (t,), (t,) + image))
     return Presentation(Alphabet(letters), m.relations + tuple(extra))
 
 
@@ -189,7 +201,9 @@ class OPContext:
         self.basis = tuple(tuple(c) for c in spec.free_basis)
         self.phi = {tuple(g): tuple(v) for g, v in spec.phi.items()}
         self.a_gens = tuple(tuple(g) for g in spec.a_gens)
+        self._longest_gen = max((len(g) for g in self.a_gens), default=0)
         self._a_pools = {}
+        self._factor_tables = {}
 
     def a_elements(self, max_len: int):
         """Normal forms of A-elements up to max_len with one generator
@@ -211,18 +225,28 @@ class OPContext:
         self._a_pools[max_len] = seen
         return seen
 
+    def _factor_table(self, max_len: int):
+        """Every basis word c times every pooled A-element a, grouped by the
+        normal form of c.a, in basis-then-pool order.  Built once per
+        max_len, like the pool itself."""
+        if max_len in self._factor_tables:
+            return self._factor_tables[max_len]
+        table = {}
+        pool = self.a_elements(max_len)
+        for c in self.basis:
+            for a_nf, gens in pool.items():
+                table.setdefault(self.nf_m(c + a_nf), []).append(
+                    (c, a_nf, gens))
+        self._factor_tables[max_len] = table
+        return table
+
     def factor(self, m_word: Word):
         """The factorization nf(m) = c.a with c in the basis and a in A.
         Raises FactorizationFailure if no or several factorizations exist
         inside the search bound (the basis is then not free over A)."""
         target = self.nf_m(m_word)
-        pool = self.a_elements(len(target) + max(
-            (len(g) for g in self.a_gens), default=0))
-        found = []
-        for c in self.basis:
-            for a_nf, gens in pool.items():
-                if self.nf_m(c + a_nf) == target:
-                    found.append((c, a_nf, gens))
+        found = self._factor_table(
+            len(target) + self._longest_gen).get(target, ())
         if not found:
             raise FactorizationFailure(
                 f"no basis factorization of {format_word(target)}")
@@ -419,13 +443,14 @@ def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
     k_gens = tuple(tuple(g) for g in k_gens)
     if twist is None:
         twist = {g: g for g in k_gens}
-    for i, (x, y) in enumerate(pairs):
-        for g in k_gens:
+    # each move depends on one element only: x.g on x, twist(g).y on y
+    right = {x: [solver(x + g) for g in k_gens] for x in elements}
+    left = {y: [solver(twist[g] + y) for g in k_gens] for y in elements}
+    for x, y in pairs:
+        for xg, gy in zip(right[x], left[y]):
             if not budget.spend():
                 truncated = True
                 break
-            xg = solver(x + g)
-            gy = solver(twist[g] + y)
             if xg in eset and gy in eset:
                 uf.union(ids[xg, y], ids[x, gy])
         if truncated:
@@ -766,17 +791,17 @@ def bass_serre_forest_bi(ctx, kind: str, radius: int,
                      not pqm.partial[ci])
             for ci in range(len(pqm.classes))
         ]
+        ball = {x for x, _ in pqa.pairs}
+        t_times = {y: ctx.solver((t,) + y) for y in ball}
+        times_t = {x: ctx.solver(x + (t,)) for x in ball}
         edges = []
         for ci in range(len(pqa.classes)):
             members = [pqa.pairs[i] for i in pqa.classes[ci]]
             tails = set()
             heads = set()
-            resolvable = True
             for x, y in members:
-                ty = ctx.solver((t,) + y)
-                xt = ctx.solver(x + (t,))
-                tails.add(pqm.lookup((x, ty)))
-                heads.add(pqm.lookup((xt, y)))
+                tails.add(pqm.lookup((x, t_times[y])))
+                heads.add(pqm.lookup((times_t[x], y)))
             tails.discard(None)
             heads.discard(None)
             if not tails or not heads:

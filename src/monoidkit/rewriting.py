@@ -1,5 +1,5 @@
 """String rewriting over words: reduction, critical pairs, budgeted
-Knuth-Bendix completion, and the congruence-ball oracle.
+Knuth-Bendix completion, and three-valued word equality.
 
 The reduction order is always shortlex over the alphabet order.  All
 searches are budgeted; one rule application or one critical-pair join
@@ -366,23 +366,6 @@ def _ball_with_parents(p: Presentation, w: Word, max_len: int, budget: Budget):
                     parents[nxt] = cur
                     queue.append(nxt)
     return parents
-
-
-def congruence_ball(p: Presentation, w: Word, max_len: int,
-                    budget_limit=DEFAULT_BUDGET):
-    """BFS closure of {w} under both directions of every relation, capped at
-    max_len.  This is the brute-force oracle the rest of the suite checks
-    against.
-
-    Raises BudgetExhausted (carrying the partial word set) if the step
-    budget runs out before the ball is closed.
-    """
-    budget = Budget(budget_limit)
-    try:
-        parents = _ball_with_parents(p, w, max_len, budget)
-    except BudgetExhausted as e:
-        raise BudgetExhausted(set(e.partial)) from None
-    return set(parents)
 
 
 def _witness_path(parents, target):

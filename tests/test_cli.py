@@ -90,6 +90,26 @@ def test_format_text_is_rejected(capsys, bicyclic_file):
     assert "invalid choice: 'text'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--radius", "2", "--format", "matrix"],
+    ["check-tree", "--radius", "2", "--format", "matrix"],
+    ["condense", "--radius", "2", "--format", "dot"],
+    ["homology", "--radius", "2", "--format", "json"],
+    ["parse", "--format", "json"],
+    ["parse", "--seed", "1"],
+    ["cayley", "--radius", "2", "--seed", "1"],
+    ["complete", "--seed", "1"],
+])
+def test_flags_only_where_they_work(capsys, bicyclic_file, argv):
+    # --format exists only on cayley (json|dot) and bass-serre
+    # (json|dot|matrix), --seed only on verify-derivations
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--presentation", bicyclic_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
 def test_complete(capsys, bicyclic_file):
     code, data = run_json(capsys, "complete", "--presentation", bicyclic_file)
     assert code == 0
@@ -217,6 +237,33 @@ def test_construct_kind_mismatch(capsys, amalgam_spec_file):
     code, _ = run(capsys, "construct", "--kind", "hnn",
                   "--spec", amalgam_spec_file)
     assert code == 2
+
+
+@pytest.mark.parametrize("data, detail", [
+    ({"a_gens": ["a a"], "b_gens": ["a"], "phi": {"a": "a"}},
+     "has no phi image"),
+    ({"a_gens": ["a a"], "b_gens": ["a a"], "phi": {"a a": "a"}},
+     "are not the phi images"),
+])
+def test_construct_hnn_checks_maps(capsys, tmp_path, data, detail):
+    f = tmp_path / "hnn.json"
+    f.write_text(json.dumps({"kind": "hnn", "m": {"letters": ["a"]},
+                             **data}))
+    assert main(["construct", "--kind", "hnn", "--spec", str(f)]) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "ConstructionError"
+    assert detail in diag["detail"]
+
+
+def test_construct_hnn(capsys, tmp_path):
+    f = tmp_path / "hnn.json"
+    f.write_text(json.dumps({"kind": "hnn", "m": {"letters": ["a"]},
+                             "a_gens": ["a a"], "b_gens": ["a"],
+                             "phi": {"a a": "a"}}))
+    code, data = run_json(capsys, "construct", "--kind", "hnn",
+                          "--spec", str(f))
+    assert code == 0
+    assert data["presentation"]["letters"] == ["a", "t", "t-"]
 
 
 def test_bass_serre_json(capsys, amalgam_spec_file):

@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monoidkit.words import EMPTY, Alphabet, Presentation, format_word
-from monoidkit.rewriting import equal_words
+from monoidkit.rewriting import Budget, equal_words
 from monoidkit.cayley import cayley_ball
 from monoidkit.constructions import (
     AmalgamSpec,
@@ -33,6 +35,9 @@ from monoidkit.constructions import (
     otto_pride_presentation,
     pair_quotient_ball,
     quotient_ball,
+    _element_ball,
+    _finish_quotient,
+    _UnionFind,
 )
 
 
@@ -141,8 +146,83 @@ def test_factor_ambiguous_basis():
     spec = OttoPrideSpec(free("a"), (w("aa"),), {w("aa"): w("a")},
                          free_basis=(EMPTY, w("a"), w("aa")))
     ctx = OPContext(spec)
-    with pytest.raises(FactorizationFailure):
+    with pytest.raises(FactorizationFailure) as e:
         ctx.factor(w("aa"))
+    assert str(e.value) == ("ambiguous basis factorization of a a: "
+                            "[('1', 'a a'), ('a a', '1')]")
+
+
+def test_factor_missing_basis_word():
+    ctx = OPContext(OttoPrideSpec(free("a"), (w("aa"),), {w("aa"): w("a")},
+                                  free_basis=(EMPTY,)))
+    with pytest.raises(FactorizationFailure) as e:
+        ctx.factor(w("a"))
+    assert str(e.value) == "no basis factorization of a"
+
+
+# The per-call scan that OPContext.factor's table replaced, kept as the
+# oracle: every basis word times every pooled A-element is normalized and
+# compared with the target.
+
+
+def oracle_factor(ctx, m_word):
+    target = ctx.nf_m(m_word)
+    pool = ctx.a_elements(len(target) + max(
+        (len(g) for g in ctx.a_gens), default=0))
+    found = []
+    for c in ctx.basis:
+        for a_nf, gens in pool.items():
+            if ctx.nf_m(c + a_nf) == target:
+                found.append((c, a_nf, gens))
+    if not found:
+        raise FactorizationFailure(
+            f"no basis factorization of {format_word(target)}")
+    if len({(c, a) for c, a, _ in found}) > 1:
+        raise FactorizationFailure(
+            f"ambiguous basis factorization of {format_word(target)}: "
+            f"{[(format_word(c), format_word(a)) for c, a, _ in found]}")
+    return found[0]
+
+
+def op_spec(k, j, basis):
+    """<a,t | a^k t = t a^j> over the free monoid on a, with the given
+    basis C (free over A = <a^k> when C is 1, a, ..., a^(k-1))."""
+    return OttoPrideSpec(free("a"), (w("a") * k,), {w("a") * k: w("a") * j},
+                         free_basis=tuple(basis))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except FactorizationFailure as e:
+        return type(e), str(e)
+
+
+@st.composite
+def op_bases(draw):
+    k, j = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    free_basis = [w("a") * i for i in range(k)]
+    # a shuffled free basis, or 1 plus powers of a drawn with repeats, so
+    # that some are missing (no factorization) and some duplicate a coset
+    # (ambiguous factorization)
+    basis = draw(st.one_of(
+        st.permutations(free_basis[1:]).map(lambda b: [EMPTY] + b),
+        st.lists(st.integers(1, k + 2), max_size=k + 2).map(
+            lambda ps: [EMPTY] + [w("a") * p for p in ps])))
+    return k, j, basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(op_bases(), st.permutations(range(9)))
+@example((2, 1, [EMPTY]), list(range(9)))
+@example((2, 1, [EMPTY, w("a"), w("aa")]), list(range(9)))
+@example((3, 2, [EMPTY, w("aa"), w("aaaa"), w("a")]), list(range(9)))
+def test_factor_matches_scan_oracle(case, lengths):
+    k, j, basis = case
+    ctx = OPContext(op_spec(k, j, basis))
+    for n in lengths:   # m-words up to length 8, in a random order
+        word = w("a") * n
+        assert outcome(ctx.factor, word) == outcome(oracle_factor, ctx, word)
 
 
 def test_basis_must_contain_identity():
@@ -245,6 +325,82 @@ def test_pair_quotient_twist(octx):
                                    octx.a_images, 4, side="LxL/A")
     assert untwisted.lookup((w("aa"), EMPTY)) == untwisted.lookup(
         (EMPTY, w("aa")))
+
+
+# The per-pair loop that pair_quotient_ball's per-element moves replaced,
+# kept as the oracle: x.g and twist(g).y are normalized for every pair.
+
+
+def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
+                              side="LxL/K", margin=0, twist=None):
+    elements, depth = _element_ball(solver, alphabet, radius)
+    eset = {x: d for x, d in zip(elements, depth)}
+    pairs = [(x, y) for x in elements for y in elements]
+    pair_depth = [eset[x] + eset[y] for x, y in pairs]
+    ids = {p: i for i, p in enumerate(pairs)}
+    uf = _UnionFind(len(pairs))
+    budget = Budget(budget_limit)
+    truncated = False
+    k_gens = tuple(tuple(g) for g in k_gens)
+    if twist is None:
+        twist = {g: g for g in k_gens}
+    for x, y in pairs:
+        for g in k_gens:
+            if not budget.spend():
+                truncated = True
+                break
+            xg = solver(x + g)
+            gy = solver(twist[g] + y)
+            if xg in eset and gy in eset:
+                uf.union(ids[xg, y], ids[x, gy])
+        if truncated:
+            break
+    return _finish_quotient(side, radius, pairs, uf, pair_depth, margin,
+                            truncated)
+
+
+@functools.lru_cache(maxsize=None)
+def ball_context(kind, p, q):
+    if kind == "amalgam":
+        ctx = amalgam_context(AmalgamSpec(
+            free("x"), free("y"), free("w"),
+            {"w": w("x") * p}, {"w": w("y") * q}))
+        return ctx, ((w("x"),), (w("y"),), ctx.w_images[0])
+    ctx = op_context(op_spec(p, q, [w("a") * i for i in range(p)]))
+    return ctx, tuple(dict.fromkeys(((w("a"),), (w("t"),), ctx.a_images[0])))
+
+
+@st.composite
+def pair_ball_cases(draw):
+    kind = draw(st.sampled_from(["otto_pride", "amalgam"]))
+    ctx, gens = ball_context(kind, draw(st.integers(1, 3)),
+                             draw(st.integers(1, 3)))
+    k_gens = draw(st.lists(st.sampled_from(gens), min_size=1,
+                           max_size=len(gens), unique=True))
+    twist = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {g: st.sampled_from(gens + (EMPTY,)) for g in k_gens})))
+    radius = draw(st.integers(1, 4))
+    # small budgets stop the pair loop part way through a pair's moves
+    budget = draw(st.one_of(st.integers(0, 2500), st.just(10**6)))
+    return ctx, k_gens, twist, radius, budget, draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair_ball_cases())
+def test_pair_quotient_ball_matches_per_pair_oracle(case):
+    ctx, k_gens, twist, radius, budget, margin = case
+    alphabet = ctx.presentation.alphabet
+    got = pair_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
+                             margin=margin, twist=twist)
+    want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, radius,
+                                     budget, margin=margin, twist=twist)
+    assert got.pairs == want.elements
+    assert got.class_of == want.class_of
+    assert got.classes == want.classes
+    assert got.partial == want.partial
+    assert got.truncated == want.truncated
+    assert all(got.lookup(p) == want.class_of[i]
+               for i, p in enumerate(want.elements))
 
 
 # ---------------------------------------------------------------------------

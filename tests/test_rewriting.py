@@ -11,8 +11,8 @@ from monoidkit.rewriting import (
     CompletionResult,
     RewriteRule,
     RewriteSystem,
+    _ball_with_parents,
     _interreduce,
-    congruence_ball,
     critical_pairs,
     equal_words,
     irreducible_words,
@@ -94,6 +94,18 @@ def test_knuth_bendix_amalgam_sound():
     if res.completed:
         s = res.system
         assert normalize(s, w("yyy")) == normalize(s, w("xx"))
+
+
+def congruence_ball(p, w, max_len, budget_limit):
+    """BFS closure of {w} under both directions of every relation, capped at
+    max_len: the brute-force oracle over _ball_with_parents.  Raises
+    BudgetExhausted, carrying the partial word set, if the step budget runs
+    out before the ball is closed."""
+    try:
+        parents = _ball_with_parents(p, w, max_len, Budget(budget_limit))
+    except BudgetExhausted as e:
+        raise BudgetExhausted(set(e.partial)) from None
+    return set(parents)
 
 
 def test_congruence_ball_bicyclic():
