@@ -61,6 +61,13 @@ class LabeledDigraph:
         return "\n".join(lines) + "\n"
 
 
+def default_margin(p) -> int:
+    """The longest side of a relation of p: the depth of the detour a
+    relation can take outside a ball.  0 without relations, since then
+    there is no relation to leave the ball through."""
+    return max((max(len(l), len(r)) for l, r in p.relations), default=0)
+
+
 def cayley_ball(solver, alphabet: Alphabet, radius: int,
                 margin: int = 0) -> LabeledDigraph:
     """BFS over right multiplication from the identity, radius levels.

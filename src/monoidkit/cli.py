@@ -47,6 +47,7 @@ from .cayley import (
     check_rooted_tree,
     check_unique_entrance,
     condensation_matches_hasse,
+    default_margin,
     scc_condense,
 )
 from .homology import (
@@ -110,10 +111,6 @@ def _load_presentation(args):
 
 def _word(s):
     return parse_word_tokens(s.split())
-
-
-def _default_margin(p):
-    return max((max(len(l), len(r)) for l, r in p.relations), default=0)
 
 
 def _unknowns(*verdicts):
@@ -266,7 +263,7 @@ def cmd_analyze_special(args):
 
 def _ball_from_args(args, p):
     solver, _ = completed_solver(p, args.budget)
-    margin = args.margin if args.margin is not None else _default_margin(p)
+    margin = args.margin if args.margin is not None else default_margin(p)
     return cayley_ball(solver, p.alphabet, args.radius, margin)
 
 
@@ -364,10 +361,8 @@ def _bass_serre_context(args):
 def _bass_serre_graph(args, ctx):
     kwargs = {"margin": args.margin} if args.margin is not None else {}
     if args.forest:
-        forest_kind = {"amalgam": "amalgam",
-                       "otto-pride": "otto_pride"}[args.kind]
-        return bass_serre_forest_bi(ctx, forest_kind, args.radius,
-                                    args.budget, **kwargs)
+        return bass_serre_forest_bi(ctx, args.kind.replace("-", "_"),
+                                    args.radius, args.budget, **kwargs)
     if args.kind == "amalgam":
         return bass_serre_ball_amalgam(ctx, args.radius, args.budget,
                                        **kwargs)
@@ -418,20 +413,15 @@ def cmd_homology(args):
 
 def cmd_verify_derivations(args):
     import random
+    if args.forest and args.kind != "otto-pride":
+        raise ConstructionError(
+            "verify-derivations --forest needs --kind otto-pride")
     ctx = _bass_serre_context(args)
-    if args.kind == "amalgam":
-        g = bass_serre_ball_amalgam(ctx, args.radius, args.budget)
-        d = amalgam_derivation(ctx)
-        beta_kind = "amalgam"
-    elif args.forest:
-        g = bass_serre_forest_bi(ctx, "otto_pride", args.radius,
-                                 args.budget, margin=args.margin)
-        d = op_forest_derivation(ctx, g._edge_ball)
-        beta_kind = "otto_pride_forest"
-    else:
-        g = bass_serre_ball_op(ctx, args.radius, args.budget)
-        d = op_derivation(ctx)
-        beta_kind = "otto_pride"
+    g = _bass_serre_graph(args, ctx)
+    derivation = {"amalgam": amalgam_derivation,
+                  "otto_pride": op_derivation,
+                  "otto_pride_forest": op_forest_derivation}[g.kind]
+    d = derivation(ctx, g.edge_ball)
     sample_radius = max(1, args.radius - 1)
     ball = cayley_ball(ctx.solver, ctx.presentation.alphabet,
                        sample_radius, 0).vertices
@@ -440,7 +430,7 @@ def cmd_verify_derivations(args):
                for _ in range(args.samples)]
     deriv = check_derivation_wellformed(
         d, list(ctx.presentation.relations), samples)
-    beta = check_beta_section(ctx, g, d, beta_kind)
+    beta = check_beta_section(g, d)
     _emit_json(args, {"derivation": deriv, "beta": beta,
                       "seed": args.seed, "samples": args.samples})
     if not (deriv["passed"] and beta["passed"]):

@@ -17,6 +17,7 @@ from .words import (
     EMPTY,
     Alphabet,
     Presentation,
+    UnionFind,
     Word,
     WordError,
     format_word,
@@ -30,7 +31,7 @@ from .rewriting import (
     normalize,
     orient_system,
 )
-from .cayley import cayley_ball
+from .cayley import cayley_ball, default_margin
 from .homology import SparseIntMatrix, rank_exact
 
 
@@ -122,14 +123,23 @@ class OttoPrideSpec:
     diagnostics: list = field(default_factory=list)
 
 
+def _phi_images(a_gens, phi) -> tuple:
+    """phi(g) for each generator g of A, in order."""
+    for g in a_gens:
+        if g not in phi:
+            raise ConstructionError(
+                f"a_gens word {format_word(g)} has no phi image")
+    return tuple(tuple(phi[g]) for g in a_gens)
+
+
 def otto_pride_presentation(spec: OttoPrideSpec) -> Presentation:
     t = spec.stable_letter
     if t in spec.m.alphabet:
         raise ConstructionError(f"stable letter {t!r} collides with M")
     letters = spec.m.alphabet.letters + (t,)
     extra = tuple(
-        (tuple(g) + (t,), (t,) + tuple(spec.phi[g]))
-        for g in spec.a_gens)
+        (tuple(g) + (t,), (t,) + image)
+        for g, image in zip(spec.a_gens, _phi_images(spec.a_gens, spec.phi)))
     return Presentation(Alphabet(letters), spec.m.relations + extra)
 
 
@@ -141,13 +151,8 @@ def hnn_presentation(m: Presentation, a_gens, b_gens, phi,
     ti = t + "-"
     if t in m.alphabet or ti in m.alphabet:
         raise ConstructionError("stable letters collide with M")
-    images = []
-    for g in a_gens:
-        if g not in phi:
-            raise ConstructionError(
-                f"a_gens word {format_word(g)} has no phi image")
-        images.append(tuple(phi[g]))
-    if tuple(tuple(b) for b in b_gens) != tuple(images):
+    images = _phi_images(a_gens, phi)
+    if tuple(tuple(b) for b in b_gens) != images:
         raise ConstructionError(
             f"b_gens {[format_word(b) for b in b_gens]} are not the phi "
             f"images {[format_word(b) for b in images]} of a_gens")
@@ -302,35 +307,34 @@ def op_multiply(ctx: OPContext, nf1: OPNormalForm,
 # quotient balls (weak orbits) and tensor pair balls
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+def _format(element) -> str:
+    """A word, or a pair of words as x,y."""
+    words = element if element and isinstance(element[0], tuple) \
+        else (element,)
+    return ",".join(map(format_word, words))
 
 
 @dataclass
 class QuotientBall:
     side: str
     radius: int
-    elements: list          # element id -> normal-form word
+    elements: list          # element id -> normal-form word, or pair of them
     class_of: list          # element id -> class id
     classes: list           # class id -> sorted member element ids
     partial: list           # class id -> bool
     truncated: bool = False
 
-    def lookup(self, w: Word):
-        """Class id of a normal form, or None if outside the ball."""
-        return self._by_word.get(w)
+    def __post_init__(self):
+        self._index = dict(zip(self.elements, self.class_of))
+
+    @property
+    def pairs(self):
+        """The elements of a pair ball."""
+        return self.elements
+
+    def lookup(self, element):
+        """Class id of an element, or None if outside the ball."""
+        return self._index.get(element)
 
     def rep(self, class_id):
         return self.elements[self.classes[class_id][0]]
@@ -342,7 +346,7 @@ class QuotientBall:
             "classes": [
                 {
                     "id": i,
-                    "representative": format_word(self.rep(i)),
+                    "representative": _format(self.rep(i)),
                     "size": len(c),
                     "partial": self.partial[i],
                 }
@@ -352,31 +356,38 @@ class QuotientBall:
         }
 
 
-def _element_ball(solver, alphabet, radius):
-    g = cayley_ball(solver, alphabet, radius, 0)
-    return g.vertices, g.depth
-
-
-def _finish_quotient(side, radius, elements, uf, depth, margin, truncated):
-    n = len(elements)
+def _quotient(side, radius, elements, depth, moves, budget_limit, margin):
+    """Classes of elements under the joins in moves: for each element in
+    order, its generator moves, each the pair of element ids it joins or
+    None when it leaves the ball.  Every move costs one budget step; when
+    the budget runs out, the rest go unjoined and every class is partial.
+    A class whose every member sits within margin of the ball boundary had
+    little room to merge, so only classes seen well inside the ball are
+    settled at this radius."""
+    uf = UnionFind(len(elements))
+    budget = Budget(budget_limit)
+    truncated = False
+    for joins in moves:
+        for move in joins:
+            if not budget.spend():
+                truncated = True
+                break
+            if move is not None:
+                uf.union(*move)
+        if truncated:
+            break
     groups = {}
-    for i in range(n):
+    for i in range(len(elements)):
         groups.setdefault(uf.find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda m: m[0])
-    class_of = [None] * n
-    partial = []
-    for ci, members in enumerate(ordered):
+    classes = sorted(groups.values(), key=lambda m: m[0])
+    class_of = [None] * len(elements)
+    for ci, members in enumerate(classes):
         for v in members:
             class_of[v] = ci
-        # a class whose every member sits within margin of the boundary had
-        # little room to merge; only classes seen well inside the ball are
-        # treated as settled at this radius
-        partial.append(truncated
-                       or min(depth[v] for v in members) > radius - margin)
-    qb = QuotientBall(side, radius, list(elements), class_of,
-                      [sorted(m) for m in ordered], partial, truncated)
-    qb._by_word = {w: class_of[i] for i, w in enumerate(elements)}
-    return qb
+    partial = [truncated or min(depth[v] for v in members) > radius - margin
+               for members in classes]
+    return QuotientBall(side, radius, list(elements), class_of, classes,
+                        partial, truncated)
 
 
 def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
@@ -386,81 +397,51 @@ def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
     k_gens, restricted to the radius ball.  Classes whose members all lie
     within margin of the ball boundary are flagged partial: their membership
     and distinctness are least settled at this radius."""
-    elements, depth = _element_ball(solver, alphabet, radius)
-    ids = {w: i for i, w in enumerate(elements)}
-    uf = _UnionFind(len(elements))
-    budget = Budget(budget_limit)
-    truncated = False
+    ball = cayley_ball(solver, alphabet, radius, 0)
+    ids = {x: i for i, x in enumerate(ball.vertices)}
     k_gens = tuple(tuple(g) for g in k_gens)
-    for i, x in enumerate(elements):
-        for g in k_gens:
-            if not budget.spend():
-                truncated = True
-                break
-            y = solver(x + g)
-            j = ids.get(y)
-            if j is not None:
-                uf.union(i, j)
-        if truncated:
-            break
-    return _finish_quotient(side, radius, elements, uf, depth, margin,
-                            truncated)
 
+    def moves():
+        for i, x in enumerate(ball.vertices):
+            js = [ids.get(solver(x + g)) for g in k_gens]
+            yield [None if j is None else (i, j) for j in js]
 
-@dataclass
-class PairQuotientBall:
-    side: str
-    radius: int
-    pairs: list             # pair id -> (word, word)
-    class_of: list
-    classes: list
-    partial: list
-    truncated: bool = False
-
-    def lookup(self, pair):
-        return self._by_pair.get(pair)
-
-    def rep(self, class_id):
-        return self.pairs[self.classes[class_id][0]]
+    return _quotient(side, radius, ball.vertices, ball.depth, moves(),
+                     budget_limit, margin)
 
 
 def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
                        budget_limit=DEFAULT_BUDGET, side="LxL/K",
-                       margin: int = 0, twist=None) -> PairQuotientBall:
+                       margin: int = 0, twist=None) -> QuotientBall:
     """Tensor classes of pairs from the ball under the transfer moves
     (x.g, y) ~ (x, twist(g).y) for each generator g of the middle
     submonoid; twist defaults to the identity and carries the homomorphism
     when the two actions differ.  The depth of a pair is the sum of its
     element depths."""
-    elements, depth = _element_ball(solver, alphabet, radius)
-    eset = {w: d for w, d in zip(elements, depth)}
-    pairs = [(x, y) for x in elements for y in elements]
-    pair_depth = [eset[x] + eset[y] for x, y in pairs]
-    ids = {p: i for i, p in enumerate(pairs)}
-    uf = _UnionFind(len(pairs))
-    budget = Budget(budget_limit)
-    truncated = False
+    ball = cayley_ball(solver, alphabet, radius, 0)
+    elements, depth = ball.vertices, ball.depth
+    n = len(elements)
+    ids = {x: i for i, x in enumerate(elements)}
     k_gens = tuple(tuple(g) for g in k_gens)
     if twist is None:
         twist = {g: g for g in k_gens}
-    # each move depends on one element only: x.g on x, twist(g).y on y
-    right = {x: [solver(x + g) for g in k_gens] for x in elements}
-    left = {y: [solver(twist[g] + y) for g in k_gens] for y in elements}
-    for x, y in pairs:
-        for xg, gy in zip(right[x], left[y]):
-            if not budget.spend():
-                truncated = True
-                break
-            if xg in eset and gy in eset:
-                uf.union(ids[xg, y], ids[x, gy])
-        if truncated:
-            break
-    qb = _finish_quotient(side, radius, pairs, uf, pair_depth, margin,
-                          truncated)
-    qb = PairQuotientBall(side, radius, qb.elements, qb.class_of,
-                          qb.classes, qb.partial, qb.truncated)
-    qb._by_pair = {p: qb.class_of[i] for i, p in enumerate(qb.pairs)}
-    return qb
+    # each move depends on one element only: x.g on x, twist(g).y on y;
+    # the pair (x, y) has id ids[x] * n + ids[y]
+    right = [[ids.get(solver(x + g)) for g in k_gens] for x in elements]
+    left = [[ids.get(solver(twist[g] + y)) for g in k_gens]
+            for y in elements]
+
+    def moves():
+        for i in range(n):
+            for j in range(n):
+                yield [(xg * n + j, i * n + gy)
+                       if xg is not None and gy is not None else None
+                       for xg, gy in zip(right[i], left[j])]
+
+    pairs = [(x, y) for x in elements for y in elements]
+    pair_depth = [dx + dy for dx in depth for dy in depth]
+    return _quotient(side, radius, pairs, pair_depth, moves(), budget_limit,
+                     margin)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +472,8 @@ class BassSerreGraph:
     vertices: list
     edges: list
     diagnostics: list = field(default_factory=list)
+    vertex_balls: dict = field(default_factory=dict)   # side -> QuotientBall
+    edge_ball: QuotientBall = None
 
     def interior_vertex_ids(self):
         return [i for i, v in enumerate(self.vertices) if v.interior]
@@ -514,7 +497,7 @@ class BassSerreGraph:
 
     def forest_by_search(self) -> bool:
         """Undirected acyclicity of the interior subgraph via union-find."""
-        uf = _UnionFind(len(self.vertices))
+        uf = UnionFind(len(self.vertices))
         for ei in self.interior_edge_ids():
             e = self.edges[ei]
             if uf.find(e.tail) == uf.find(e.head):
@@ -529,27 +512,13 @@ class BassSerreGraph:
         return rank_exact(m) == m.cols
 
     def connected_interior(self, start: int) -> bool:
-        inside = set(self.interior_vertex_ids())
-        if start not in inside:
-            return not inside
-        adj = {}
-        for ei in self.interior_edge_ids():
-            e = self.edges[ei]
-            adj.setdefault(e.tail, []).append(e.head)
-            adj.setdefault(e.head, []).append(e.tail)
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj.get(v, ()):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen == inside
+        """Whether every interior vertex lies in the component of start."""
+        comp = self.components()
+        return set(comp.values()) <= {comp.get(start)}
 
     def components(self):
         """Interior components as a map vertex id -> component id."""
-        uf = _UnionFind(len(self.vertices))
+        uf = UnionFind(len(self.vertices))
         for ei in self.interior_edge_ids():
             e = self.edges[ei]
             uf.union(e.tail, e.head)
@@ -588,9 +557,63 @@ class BassSerreGraph:
         return "\n".join(lines) + "\n"
 
 
+def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball, ends):
+    """The Bass-Serre graph whose vertices are the classes of the vertex
+    balls (side -> ball, in order) and whose edges are the classes of
+    edge_ball.  ends(elements) gives, for the edge ball's elements, the
+    lists of their tail elements, looked up in the first vertex ball, and
+    of their head elements, looked up in the last.
 
-def _relation_margin(p: Presentation) -> int:
-    return max((max(len(l), len(r)) for l, r in p.relations), default=1)
+    The incidence rule, per edge class: it is reported unresolved when its
+    members' in-ball ends name more than one tail or more than one head;
+    it is left out when no member has a tail, or none a head, in the ball;
+    it is interior only if the class is settled and every member has both
+    ends in the ball, the same tail and the same head.  Each end of an edge
+    is the first member's end that lies in the ball."""
+    vertices = []
+    offset = {}
+    for side, qb in vertex_balls.items():
+        offset[side] = len(vertices)
+        vertices.extend(
+            BSVertex(side, ci, f"[{_format(qb.rep(ci))}]{side}",
+                     not qb.partial[ci])
+            for ci in range(len(qb.classes)))
+    sides = list(vertex_balls)
+    tail_ball, head_ball = vertex_balls[sides[0]], vertex_balls[sides[-1]]
+    tail_base, head_base = offset[sides[0]], offset[sides[-1]]
+    tails, heads = ends(edge_ball.elements)
+    tail_of = [tail_ball.lookup(x) for x in tails]
+    head_of = [head_ball.lookup(x) for x in heads]
+    edges = []
+    diagnostics = []
+    for ci, members in enumerate(edge_ball.classes):
+        ts = {tail_of[i] for i in members}
+        hs = {head_of[i] for i in members}
+        if len(ts - {None}) > 1 or len(hs - {None}) > 1:
+            diagnostics.append({
+                "kind": "edge_incidence_unresolved", "edge_class": ci})
+        if ts == {None} or hs == {None}:
+            continue    # the whole edge leaves the ball
+        tail = next(tail_of[i] for i in members if tail_of[i] is not None)
+        head = next(head_of[i] for i in members if head_of[i] is not None)
+        edges.append(BSEdge(
+            ci, tail_base + tail, head_base + head,
+            f"[{_format(edge_ball.elements[members[0]])}]{edge_side}",
+            not edge_ball.partial[ci] and len(ts) == 1 and len(hs) == 1))
+    return BassSerreGraph(kind, radius, vertices, edges, diagnostics,
+                          vertex_balls, edge_ball)
+
+
+def _balls(build, ctx, radius, budget_limit, margin):
+    """build (quotient_ball or pair_quotient_ball) on ctx's presentation at
+    radius, as a function of the generators and side; the margin defaults
+    to the longest relation side."""
+    if margin is None:
+        margin = default_margin(ctx.presentation)
+    return lambda gens, side, **twist: build(
+        ctx.solver, ctx.presentation.alphabet, gens, radius, budget_limit,
+        side=side, margin=margin, **twist)
+
 
 @dataclass
 class AmalgamContext:
@@ -601,10 +624,6 @@ class AmalgamContext:
     m1_letters: tuple
     m2_letters: tuple
     w_images: tuple         # generators of the image of W inside L
-    qb1: QuotientBall = None
-    qb2: QuotientBall = None
-    qbw: QuotientBall = None
-    graph: BassSerreGraph = None
 
 
 def amalgam_context(spec: AmalgamSpec,
@@ -625,43 +644,12 @@ def bass_serre_ball_amalgam(ctx: AmalgamContext, radius: int,
                             margin: int = None) -> BassSerreGraph:
     """Vertices are the classes of L/M1 and L/M2, edges the classes of
     L/W; the edge of [x]_W joins [x]_{M1} with [x]_{M2}."""
-    alphabet = ctx.presentation.alphabet
-    if margin is None:
-        margin = _relation_margin(ctx.presentation)
-    m1_gens = [(a,) for a in ctx.m1_letters]
-    m2_gens = [(a,) for a in ctx.m2_letters]
-    ctx.qb1 = quotient_ball(ctx.solver, alphabet, m1_gens, radius,
-                            budget_limit, side="L/M1", margin=margin)
-    ctx.qb2 = quotient_ball(ctx.solver, alphabet, m2_gens, radius,
-                            budget_limit, side="L/M2", margin=margin)
-    ctx.qbw = quotient_ball(ctx.solver, alphabet, ctx.w_images, radius,
-                            budget_limit, side="L/W", margin=margin)
-    vertices = []
-    gid = {}
-    for side, qb in (("M1", ctx.qb1), ("M2", ctx.qb2)):
-        for ci in range(len(qb.classes)):
-            gid[side, ci] = len(vertices)
-            vertices.append(BSVertex(
-                side, ci, f"[{format_word(qb.rep(ci))}]{side}",
-                not qb.partial[ci]))
-    edges = []
-    diagnostics = []
-    for ci in range(len(ctx.qbw.classes)):
-        members = [ctx.qbw.elements[i] for i in ctx.qbw.classes[ci]]
-        x = members[0]
-        t1, t2 = ctx.qb1.lookup(x), ctx.qb2.lookup(x)
-        ok = all(ctx.qb1.lookup(y) == t1 and ctx.qb2.lookup(y) == t2
-                 for y in members)
-        if not ok:
-            diagnostics.append({
-                "kind": "edge_incidence_unresolved", "edge_class": ci})
-        edges.append(BSEdge(
-            ci, gid["M1", t1], gid["M2", t2],
-            f"[{format_word(x)}]W",
-            not ctx.qbw.partial[ci] and ok))
-    g = BassSerreGraph("amalgam", radius, vertices, edges, diagnostics)
-    ctx.graph = g
-    return g
+    ball = _balls(quotient_ball, ctx, radius, budget_limit, margin)
+    return _bass_serre(
+        "amalgam", radius,
+        {"M1": ball([(a,) for a in ctx.m1_letters], "L/M1"),
+         "M2": ball([(a,) for a in ctx.m2_letters], "L/M2")},
+        "W", ball(ctx.w_images, "L/W"), lambda xs: (xs, xs))
 
 
 @dataclass
@@ -671,9 +659,6 @@ class OPBallContext:
     solver: object
     system: RewriteSystem
     a_images: tuple
-    qbm: QuotientBall = None
-    qba: QuotientBall = None
-    graph: BassSerreGraph = None
 
 
 def op_context(spec: OttoPrideSpec,
@@ -689,42 +674,13 @@ def bass_serre_ball_op(ctx: OPBallContext, radius: int,
                        margin: int = None) -> BassSerreGraph:
     """Vertices are the classes of L/M, edges the classes of L/A; the edge
     of [x]_A runs from [x]_M to [xt]_M."""
-    alphabet = ctx.presentation.alphabet
-    if margin is None:
-        margin = _relation_margin(ctx.presentation)
-    t = ctx.spec.stable_letter
-    m_gens = [(a,) for a in ctx.spec.m.alphabet.letters]
-    ctx.qbm = quotient_ball(ctx.solver, alphabet, m_gens, radius,
-                            budget_limit, side="L/M", margin=margin)
-    ctx.qba = quotient_ball(ctx.solver, alphabet, ctx.a_images, radius,
-                            budget_limit, side="L/A", margin=margin)
-    vertices = [
-        BSVertex("M", ci, f"[{format_word(ctx.qbm.rep(ci))}]M",
-                 not ctx.qbm.partial[ci])
-        for ci in range(len(ctx.qbm.classes))
-    ]
-    edges = []
-    diagnostics = []
-    for ci in range(len(ctx.qba.classes)):
-        members = [ctx.qba.elements[i] for i in ctx.qba.classes[ci]]
-        x = members[0]
-        tails = {ctx.qbm.lookup(y) for y in members}
-        heads = {ctx.qbm.lookup(ctx.solver(y + (t,))) for y in members}
-        interior = (not ctx.qba.partial[ci]
-                    and len(tails) == 1 and len(heads) == 1
-                    and None not in heads)
-        if len(tails) > 1 or (len(heads) > 1 and None not in heads):
-            diagnostics.append({
-                "kind": "edge_incidence_unresolved", "edge_class": ci})
-        head = next(iter(heads - {None}), None)
-        if head is None:
-            continue  # the whole edge leaves the ball
-        edges.append(BSEdge(
-            ci, next(iter(tails)), head,
-            f"[{format_word(x)}]A", interior))
-    g = BassSerreGraph("otto_pride", radius, vertices, edges, diagnostics)
-    ctx.graph = g
-    return g
+    ball = _balls(quotient_ball, ctx, radius, budget_limit, margin)
+    t = (ctx.spec.stable_letter,)
+    return _bass_serre(
+        "otto_pride", radius,
+        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")},
+        "A", ball(ctx.a_images, "L/A"),
+        lambda xs: (xs, [ctx.solver(x + t) for x in xs]))
 
 
 def bass_serre_forest_bi(ctx, kind: str, radius: int,
@@ -733,92 +689,32 @@ def bass_serre_forest_bi(ctx, kind: str, radius: int,
 
     amalgam: vertices are pair classes over M1 and over M2, the edge of
     [x,y]_W joins them.  otto_pride: vertices are pair classes over M and
-    the edge of [x,y]_A runs from [x,ty]_M to [xt,y]_M.
-
-    Returns the graph and the multiplication map component check data:
-    a list (pair class id of the edge, product normal form)."""
-    alphabet = ctx.presentation.alphabet
-    if margin is None:
-        margin = _relation_margin(ctx.presentation)
-    if kind == "amalgam":
-        k1 = [(a,) for a in ctx.m1_letters]
-        k2 = [(a,) for a in ctx.m2_letters]
-        ke = ctx.w_images
-        pq1 = pair_quotient_ball(ctx.solver, alphabet, k1, radius,
-                                 budget_limit, side="LxL/M1", margin=margin)
-        pq2 = pair_quotient_ball(ctx.solver, alphabet, k2, radius,
-                                 budget_limit, side="LxL/M2", margin=margin)
-        pqe = pair_quotient_ball(ctx.solver, alphabet, ke, radius,
-                                 budget_limit, side="LxL/W", margin=margin)
-        vertices = []
-        gid = {}
-        for side, pq in (("M1", pq1), ("M2", pq2)):
-            for ci in range(len(pq.classes)):
-                gid[side, ci] = len(vertices)
-                x, y = pq.rep(ci)
-                vertices.append(BSVertex(
-                    side, ci,
-                    f"[{format_word(x)},{format_word(y)}]{side}",
-                    not pq.partial[ci]))
-        edges = []
-        for ci in range(len(pqe.classes)):
-            members = [pqe.pairs[i] for i in pqe.classes[ci]]
-            p = members[0]
-            t1, t2 = pq1.lookup(p), pq2.lookup(p)
-            ok = all(pq1.lookup(q) == t1 and pq2.lookup(q) == t2
-                     for q in members)
-            edges.append(BSEdge(
-                ci, gid["M1", t1], gid["M2", t2],
-                f"[{format_word(p[0])},{format_word(p[1])}]W",
-                not pqe.partial[ci] and ok))
-        g = BassSerreGraph("amalgam_forest", radius, vertices, edges)
-        g._vertex_balls = {"M1": pq1, "M2": pq2}
-        g._edge_ball = pqe
-        g._gid = gid
-    elif kind == "otto_pride":
-        t = ctx.spec.stable_letter
-        km = [(a,) for a in ctx.spec.m.alphabet.letters]
-        pqm = pair_quotient_ball(ctx.solver, alphabet, km, radius,
-                                 budget_limit, side="LxL/M", margin=margin)
-        pqa = pair_quotient_ball(
-            ctx.solver, alphabet, ctx.a_images, radius, budget_limit,
-            side="LxL/A", margin=margin,
-            twist={tuple(g): tuple(v) for g, v in ctx.spec.phi.items()})
-        vertices = [
-            BSVertex("M", ci,
-                     f"[{format_word(pqm.rep(ci)[0])},"
-                     f"{format_word(pqm.rep(ci)[1])}]M",
-                     not pqm.partial[ci])
-            for ci in range(len(pqm.classes))
-        ]
-        ball = {x for x, _ in pqa.pairs}
-        t_times = {y: ctx.solver((t,) + y) for y in ball}
-        times_t = {x: ctx.solver(x + (t,)) for x in ball}
-        edges = []
-        for ci in range(len(pqa.classes)):
-            members = [pqa.pairs[i] for i in pqa.classes[ci]]
-            tails = set()
-            heads = set()
-            for x, y in members:
-                tails.add(pqm.lookup((x, t_times[y])))
-                heads.add(pqm.lookup((times_t[x], y)))
-            tails.discard(None)
-            heads.discard(None)
-            if not tails or not heads:
-                continue
-            interior = (not pqa.partial[ci]
-                        and len(tails) == 1 and len(heads) == 1)
-            x, y = members[0]
-            edges.append(BSEdge(
-                ci, min(tails), min(heads),
-                f"[{format_word(x)},{format_word(y)}]A", interior))
-        g = BassSerreGraph("otto_pride_forest", radius, vertices, edges)
-        g._vertex_balls = {"M": pqm}
-        g._edge_ball = pqa
-        g._gid = None
-    else:
+    the edge of [x,y]_A runs from [x,ty]_M to [xt,y]_M."""
+    if kind not in ("amalgam", "otto_pride"):
         raise ConstructionError(f"unknown forest kind {kind!r}")
-    return g
+    ball = _balls(pair_quotient_ball, ctx, radius, budget_limit, margin)
+    if kind == "amalgam":
+        return _bass_serre(
+            "amalgam_forest", radius,
+            {"M1": ball([(a,) for a in ctx.m1_letters], "LxL/M1"),
+             "M2": ball([(a,) for a in ctx.m2_letters], "LxL/M2")},
+            "W", ball(ctx.w_images, "LxL/W"), lambda xs: (xs, xs))
+    t = (ctx.spec.stable_letter,)
+
+    def ends(pairs):
+        # t.y and x.t depend on one element each: normalize them once
+        ball = {x for x, _ in pairs}
+        t_times = {y: ctx.solver(t + y) for y in ball}
+        times_t = {x: ctx.solver(x + t) for x in ball}
+        return ([(x, t_times[y]) for x, y in pairs],
+                [(times_t[x], y) for x, y in pairs])
+
+    return _bass_serre(
+        "otto_pride_forest", radius,
+        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters], "LxL/M")},
+        "A", ball(ctx.a_images, "LxL/A", twist={
+            tuple(g): tuple(v) for g, v in ctx.spec.phi.items()}),
+        ends)
 
 
 def forest_component_products(ctx, g: BassSerreGraph):
@@ -826,12 +722,10 @@ def forest_component_products(ctx, g: BassSerreGraph):
     pair class maps to the normal form of the product of its pair.  Returns
     {component id: set of products}; the two-sided lemma predicts a single
     product per component, distinct across components."""
-    comp = g.components()
     out = {}
-    for v, ci in comp.items():
-        side = g.vertices[v].side
-        pq = g._vertex_balls[side]
-        x, y = pq.rep(g.vertices[v].class_id)
+    for v, ci in g.components().items():
+        vertex = g.vertices[v]
+        x, y = g.vertex_balls[vertex.side].rep(vertex.class_id)
         out.setdefault(ci, set()).add(ctx.solver(x + y))
     return out
 
@@ -901,35 +795,33 @@ def derivation_eval(d: DerivationSpec, word: Word) -> DerivationValue:
     return DerivationValue(acc, unresolved)
 
 
-def amalgam_derivation(ctx: AmalgamContext) -> DerivationSpec:
+def _left_derivation(ctx, images, edge_ball) -> DerivationSpec:
+    """The one-sided derivation with the given letter images, its values
+    resolved to the classes of edge_ball."""
+    return DerivationSpec(
+        "left", images, lambda payload: edge_ball.lookup(ctx.solver(payload)),
+        ctx.solver, act_left=lambda prefix, payload: prefix + payload)
+
+
+def amalgam_derivation(ctx: AmalgamContext,
+                       edge_ball: QuotientBall) -> DerivationSpec:
     """d vanishes on M1 and sends an M2 generator m2 to [1]_W - [m2]_W."""
     images = {a: [] for a in ctx.m1_letters}
     for a in ctx.m2_letters:
         images[a] = [(1, EMPTY), (-1, (a,))]
-
-    def resolver(payload):
-        return ctx.qbw.lookup(ctx.solver(payload))
-
-    return DerivationSpec(
-        "left", images, resolver, ctx.solver,
-        act_left=lambda prefix, payload: prefix + payload)
+    return _left_derivation(ctx, images, edge_ball)
 
 
-def op_derivation(ctx: OPBallContext) -> DerivationSpec:
+def op_derivation(ctx: OPBallContext,
+                  edge_ball: QuotientBall) -> DerivationSpec:
     """d vanishes on M and sends t to [1]_A."""
     images = {a: [] for a in ctx.spec.m.alphabet.letters}
     images[ctx.spec.stable_letter] = [(1, EMPTY)]
-
-    def resolver(payload):
-        return ctx.qba.lookup(ctx.solver(payload))
-
-    return DerivationSpec(
-        "left", images, resolver, ctx.solver,
-        act_left=lambda prefix, payload: prefix + payload)
+    return _left_derivation(ctx, images, edge_ball)
 
 
 def op_forest_derivation(ctx: OPBallContext,
-                         edge_ball: PairQuotientBall) -> DerivationSpec:
+                         edge_ball: QuotientBall) -> DerivationSpec:
     """Bimodule derivation for the two-sided forest: d(t) = [1,1]_A,
     d(m) = 0, with k.[x,y].k' = [kx, yk']."""
     images = {a: [] for a in ctx.spec.m.alphabet.letters}
@@ -976,55 +868,48 @@ def check_derivation_wellformed(d: DerivationSpec, relations,
             "passed": not failures}
 
 
-def check_beta_section(ctx, g: BassSerreGraph, d: DerivationSpec,
-                       kind: str) -> dict:
+def check_beta_section(g: BassSerreGraph, d: DerivationSpec) -> dict:
     """beta is a class function on vertices built from d; the check is
     beta(head) - beta(tail) = edge for every interior edge, with beta
     evaluated on every member of each vertex class (well-definedness and
     the section identity together)."""
+    if g.kind not in ("amalgam", "otto_pride", "otto_pride_forest"):
+        raise ConstructionError(f"no beta section for {g.kind!r} graphs")
     failures = []
     skipped = []
     checked = 0
 
     def beta_values(vertex):
-        if kind == "amalgam":
-            qb = {"M1": ctx.qb1, "M2": ctx.qb2}[vertex.side]
-            for i in qb.classes[vertex.class_id]:
-                x = qb.elements[i]
-                val = derivation_eval(d, x)
-                if vertex.side == "M2":
-                    _ze_add(val.ze, ctx.qbw.lookup(x), 1)
-                yield x, val
-        elif kind == "otto_pride":
-            qb = ctx.qbm
-            for i in qb.classes[vertex.class_id]:
-                x = qb.elements[i]
-                yield x, derivation_eval(d, x)
-        else:   # otto_pride_forest: beta([x,y]) = -(x . d(y))
-            pq = g._vertex_balls["M"]
-            for i in pq.classes[vertex.class_id]:
-                x, y = pq.pairs[i]
+        qb = g.vertex_balls[vertex.side]
+        for i in qb.classes[vertex.class_id]:
+            if g.kind == "otto_pride_forest":   # beta([x,y]) = -(x . d(y))
+                x, y = qb.elements[i]
                 val = derivation_eval(d, y)
                 moved = {}
                 ok = True
                 for cid, coeff in val.ze.items():
-                    px, py = g._edge_ball.rep(cid)
-                    ncid = d.resolver((x + px, py))
-                    if not _ze_add(moved, ncid, -coeff):
+                    px, py = g.edge_ball.rep(cid)
+                    if not _ze_add(moved, d.resolver((x + px, py)), -coeff):
                         ok = False
-                yield (x, y), DerivationValue(
+                yield DerivationValue(
                     moved, val.unresolved if ok else ["left-action"])
+            else:
+                x = qb.elements[i]
+                val = derivation_eval(d, x)
+                if vertex.side == "M2":
+                    _ze_add(val.ze, g.edge_ball.lookup(x), 1)
+                yield val
 
     for ei in g.interior_edge_ids():
         e = g.edges[ei]
         tail_vals = list(beta_values(g.vertices[e.tail]))
         head_vals = list(beta_values(g.vertices[e.head]))
-        if any(not v.resolved for _, v in tail_vals + head_vals):
+        if any(not v.resolved for v in tail_vals + head_vals):
             skipped.append(e.class_id)
             continue
         checked += 1
-        for _, tv in tail_vals:
-            for _, hv in head_vals:
+        for tv in tail_vals:
+            for hv in head_vals:
                 diff = dict(hv.ze)
                 for cid, coeff in tv.ze.items():
                     _ze_add(diff, cid, -coeff)

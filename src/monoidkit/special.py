@@ -16,6 +16,7 @@ from .words import (
     Alphabet,
     Presentation,
     SpecialPresentation,
+    UnionFind,
     Word,
     WordError,
     format_word,
@@ -287,21 +288,15 @@ def compute_delta(sp: SpecialPresentation,
                     f"{format_word(v)}")
 
     # partition by provable equality
-    parent = {d: d for d in ua.delta}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(len(ua.delta))
     for i, u in enumerate(ua.delta):
-        for v in ua.delta[i + 1:]:
-            if find(u) != find(v) and equal_words(sp.base, u, v, budget_limit).proven:
-                parent[find(u)] = find(v)
+        for j in range(i + 1, len(ua.delta)):
+            if uf.find(i) != uf.find(j) and equal_words(
+                    sp.base, u, ua.delta[j], budget_limit).proven:
+                uf.union(i, j)
     classes = {}
-    for d in ua.delta:
-        classes.setdefault(find(d), []).append(d)
+    for i, d in enumerate(ua.delta):
+        classes.setdefault(uf.find(i), []).append(d)
     parts = sorted(
         (sorted(c, key=alphabet.shortlex_key) for c in classes.values()),
         key=lambda c: alphabet.shortlex_key(c[0]))

@@ -229,3 +229,21 @@ def primitive_root(w: Word) -> tuple[Word, int]:
         if n % d == 0 and w[:d] * (n // d) == w:
             return w[:d], n // d
     raise AssertionError("unreachable: every word is a power of itself")
+
+
+class UnionFind:
+    """Union-find over 0..n-1; every class is rooted at its least member."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)

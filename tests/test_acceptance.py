@@ -221,28 +221,28 @@ def test_criterion_7_derivations():
 
         actx = amalgam_context(AMALGAM)
         ag = bass_serre_ball_amalgam(actx, 5)
-        ad = amalgam_derivation(actx)
+        ad = amalgam_derivation(actx, ag.edge_ball)
         rep = check_derivation_wellformed(
             ad, list(actx.presentation.relations), sampled(actx, 3, 1000))
         assert rep["failures"] == [] and rep["checked"] > 700
-        beta = check_beta_section(actx, ag, ad, "amalgam")
+        beta = check_beta_section(ag, ad)
         assert beta["failures"] == [] and beta["checked"] > 0
 
         octx = op_context(OP)
         og = bass_serre_ball_op(octx, 5)
-        od = op_derivation(octx)
+        od = op_derivation(octx, og.edge_ball)
         rep = check_derivation_wellformed(
             od, list(octx.presentation.relations), sampled(octx, 3, 1000))
         assert rep["failures"] == [] and rep["checked"] > 700
-        beta = check_beta_section(octx, og, od, "otto_pride")
+        beta = check_beta_section(og, od)
         assert beta["failures"] == [] and beta["checked"] > 0
 
         fg = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
-        fd = op_forest_derivation(octx, fg._edge_ball)
+        fd = op_forest_derivation(octx, fg.edge_ball)
         rep = check_derivation_wellformed(
             fd, list(octx.presentation.relations), sampled(octx, 3, 1000))
         assert rep["failures"] == [] and rep["checked"] > 500
-        beta = check_beta_section(octx, fg, fd, "otto_pride_forest")
+        beta = check_beta_section(fg, fd)
         assert beta["failures"] == [] and beta["checked"] >= 5
 
 

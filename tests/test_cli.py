@@ -313,6 +313,44 @@ def test_verify_derivations_forest(capsys, op_spec_file):
     assert data["beta"]["checked"] >= 5
 
 
+@pytest.mark.parametrize("kind, spec", [("amalgam", AMALGAM_SPEC),
+                                         ("otto-pride", OP_SPEC)])
+def test_verify_derivations_honours_margin(capsys, tmp_path, kind, spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    outs = {}
+    for margin in ("0", "4"):
+        code, outs[margin] = run(capsys, "verify-derivations", "--kind",
+                                 kind, "--spec", str(f), "--radius", "5",
+                                 "--samples", "50", "--margin", margin)
+        assert code == 0
+    # at margin 4 fewer edges of the radius 5 tree are interior
+    assert (json.loads(outs["4"])["beta"]["checked"]
+            < json.loads(outs["0"])["beta"]["checked"])
+
+
+def test_verify_derivations_forest_needs_otto_pride(capsys,
+                                                    amalgam_spec_file):
+    code = main(["verify-derivations", "--kind", "amalgam", "--spec",
+                 amalgam_spec_file, "--radius", "3", "--forest"])
+    assert code == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "ConstructionError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct"],
+    ["bass-serre", "--forest", "--radius", "3"],
+])
+def test_otto_pride_checks_phi(capsys, tmp_path, argv):
+    f = tmp_path / "op.json"
+    f.write_text(json.dumps(dict(OP_SPEC, phi={"a": "a"})))
+    assert main(argv + ["--kind", "otto-pride", "--spec", str(f)]) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "ConstructionError"
+    assert "a_gens word a a has no phi image" in diag["detail"]
+
+
 def test_outputs_byte_identical(tmp_path, bicyclic_file, amalgam_spec_file):
     pairs = []
     for i in (1, 2):

@@ -1,19 +1,25 @@
+import dataclasses
 import functools
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monoidkit.words import EMPTY, Alphabet, Presentation, format_word
+from monoidkit.words import (
+    EMPTY, Alphabet, Presentation, UnionFind, format_word)
 from monoidkit.rewriting import Budget, equal_words
-from monoidkit.cayley import cayley_ball
+from monoidkit.cayley import cayley_ball, default_margin
 from monoidkit.constructions import (
     AmalgamSpec,
+    BassSerreGraph,
+    BSEdge,
+    BSVertex,
     ConstructionError,
     FactorizationFailure,
     IncompleteSystemError,
     OPContext,
     OttoPrideSpec,
+    QuotientBall,
     amalgam_context,
     amalgam_derivation,
     amalgam_presentation,
@@ -35,9 +41,6 @@ from monoidkit.constructions import (
     otto_pride_presentation,
     pair_quotient_ball,
     quotient_ball,
-    _element_ball,
-    _finish_quotient,
-    _UnionFind,
 )
 
 
@@ -321,24 +324,65 @@ def test_pair_quotient_twist(octx):
     pq = pair_quotient_ball(octx.solver, octx.presentation.alphabet,
                             octx.a_images, 4, side="LxL/A", twist=phi)
     assert pq.lookup((w("aa"), EMPTY)) == pq.lookup((EMPTY, w("a")))
+    assert pq.to_json()["classes"][0]["representative"] == "1,1"
     untwisted = pair_quotient_ball(octx.solver, octx.presentation.alphabet,
                                    octx.a_images, 4, side="LxL/A")
     assert untwisted.lookup((w("aa"), EMPTY)) == untwisted.lookup(
         (EMPTY, w("aa")))
 
 
-# The per-pair loop that pair_quotient_ball's per-element moves replaced,
-# kept as the oracle: x.g and twist(g).y are normalized for every pair.
+# The quotient loops that the one quotient core replaced, kept as oracles:
+# quotient_ball normalizes x.g after charging each move, and the pair ball
+# normalizes x.g and twist(g).y for every pair.
+
+
+def oracle_finish(side, radius, elements, uf, depth, margin, truncated):
+    n = len(elements)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(uf.find(i), []).append(i)
+    ordered = sorted(groups.values(), key=lambda m: m[0])
+    class_of = [None] * n
+    partial = []
+    for ci, members in enumerate(ordered):
+        for v in members:
+            class_of[v] = ci
+        partial.append(truncated
+                       or min(depth[v] for v in members) > radius - margin)
+    return QuotientBall(side, radius, list(elements), class_of,
+                        [sorted(m) for m in ordered], partial, truncated)
+
+
+def oracle_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
+                         side="L/K", margin=0):
+    ball = cayley_ball(solver, alphabet, radius, 0)
+    elements, depth = ball.vertices, ball.depth
+    ids = {x: i for i, x in enumerate(elements)}
+    uf = UnionFind(len(elements))
+    budget = Budget(budget_limit)
+    truncated = False
+    for i, x in enumerate(elements):
+        for g in k_gens:
+            if not budget.spend():
+                truncated = True
+                break
+            j = ids.get(solver(x + tuple(g)))
+            if j is not None:
+                uf.union(i, j)
+        if truncated:
+            break
+    return oracle_finish(side, radius, elements, uf, depth, margin,
+                         truncated)
 
 
 def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
                               side="LxL/K", margin=0, twist=None):
-    elements, depth = _element_ball(solver, alphabet, radius)
-    eset = {x: d for x, d in zip(elements, depth)}
-    pairs = [(x, y) for x in elements for y in elements]
+    ball = cayley_ball(solver, alphabet, radius, 0)
+    eset = dict(zip(ball.vertices, ball.depth))
+    pairs = [(x, y) for x in ball.vertices for y in ball.vertices]
     pair_depth = [eset[x] + eset[y] for x, y in pairs]
     ids = {p: i for i, p in enumerate(pairs)}
-    uf = _UnionFind(len(pairs))
+    uf = UnionFind(len(pairs))
     budget = Budget(budget_limit)
     truncated = False
     k_gens = tuple(tuple(g) for g in k_gens)
@@ -355,8 +399,13 @@ def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
                 uf.union(ids[xg, y], ids[x, gy])
         if truncated:
             break
-    return _finish_quotient(side, radius, pairs, uf, pair_depth, margin,
-                            truncated)
+    return oracle_finish(side, radius, pairs, uf, pair_depth, margin,
+                         truncated)
+
+
+def ball_fields(qb):
+    return (qb.side, qb.radius, qb.elements, qb.class_of, qb.classes,
+            qb.partial, qb.truncated)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,13 +443,16 @@ def test_pair_quotient_ball_matches_per_pair_oracle(case):
                              margin=margin, twist=twist)
     want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, radius,
                                      budget, margin=margin, twist=twist)
+    assert ball_fields(got) == ball_fields(want)
     assert got.pairs == want.elements
-    assert got.class_of == want.class_of
-    assert got.classes == want.classes
-    assert got.partial == want.partial
-    assert got.truncated == want.truncated
     assert all(got.lookup(p) == want.class_of[i]
                for i, p in enumerate(want.elements))
+    got = quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
+                        margin=margin)
+    want = oracle_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
+                                margin=margin)
+    assert ball_fields(got) == ball_fields(want)
+    assert got.to_json() == want.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +519,8 @@ def samples_from(ctx, radius, count, seed):
 
 
 def test_amalgam_derivation(actx):
-    bass_serre_ball_amalgam(actx, 5)
-    d = amalgam_derivation(actx)
+    g = bass_serre_ball_amalgam(actx, 5)
+    d = amalgam_derivation(actx, g.edge_ball)
     rep = check_derivation_wellformed(
         d, list(actx.presentation.relations), samples_from(actx, 3, 200, 7))
     assert rep["passed"] and rep["checked"] > 150
@@ -476,24 +528,24 @@ def test_amalgam_derivation(actx):
 
 
 def test_amalgam_derivation_values(actx):
-    bass_serre_ball_amalgam(actx, 5)
-    d = amalgam_derivation(actx)
+    g = bass_serre_ball_amalgam(actx, 5)
+    d = amalgam_derivation(actx, g.edge_ball)
     assert derivation_eval(d, w("x")).ze == {}
     v = derivation_eval(d, w("y"))
-    one = actx.qbw.lookup(EMPTY)
-    assert v.ze == {one: 1, actx.qbw.lookup(w("y")): -1}
+    one = g.edge_ball.lookup(EMPTY)
+    assert v.ze == {one: 1, g.edge_ball.lookup(w("y")): -1}
 
 
 def test_amalgam_beta(actx):
     g = bass_serre_ball_amalgam(actx, 5)
-    d = amalgam_derivation(actx)
-    rep = check_beta_section(actx, g, d, "amalgam")
+    d = amalgam_derivation(actx, g.edge_ball)
+    rep = check_beta_section(g, d)
     assert rep["passed"] and rep["checked"] > 0 and not rep["skipped"]
 
 
 def test_op_derivation(octx):
-    bass_serre_ball_op(octx, 5)
-    d = op_derivation(octx)
+    g = bass_serre_ball_op(octx, 5)
+    d = op_derivation(octx, g.edge_ball)
     rep = check_derivation_wellformed(
         d, list(octx.presentation.relations), samples_from(octx, 3, 200, 8))
     assert rep["passed"] and rep["checked"] > 150
@@ -501,14 +553,14 @@ def test_op_derivation(octx):
 
 def test_op_beta(octx):
     g = bass_serre_ball_op(octx, 5)
-    d = op_derivation(octx)
-    rep = check_beta_section(octx, g, d, "otto_pride")
+    d = op_derivation(octx, g.edge_ball)
+    rep = check_beta_section(g, d)
     assert rep["passed"] and rep["checked"] > 0
 
 
 def test_op_forest_derivation(octx):
     g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
-    d = op_forest_derivation(octx, g._edge_ball)
+    d = op_forest_derivation(octx, g.edge_ball)
     rep = check_derivation_wellformed(
         d, list(octx.presentation.relations), samples_from(octx, 3, 200, 9))
     assert rep["passed"] and rep["checked"] > 100
@@ -519,6 +571,270 @@ def test_op_forest_derivation(octx):
 
 def test_op_forest_beta(octx):
     g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
-    d = op_forest_derivation(octx, g._edge_ball)
-    rep = check_beta_section(octx, g, d, "otto_pride_forest")
+    d = op_forest_derivation(octx, g.edge_ball)
+    rep = check_beta_section(g, d)
     assert rep["passed"] and rep["checked"] >= 5 and not rep["skipped"]
+
+
+# ---------------------------------------------------------------------------
+# the one Bass-Serre builder against the four builders it replaced
+
+
+# The four builders, kept as oracles over the oracle balls.  Each picked
+# edge ends, interior flags and diagnostics by its own rule.
+
+
+def oracle_amalgam_tree(ctx, radius, budget, margin):
+    def ball(gens, side):
+        return oracle_quotient_ball(ctx.solver, ctx.presentation.alphabet,
+                                    gens, radius, budget, side, margin)
+
+    qb1 = ball([(a,) for a in ctx.m1_letters], "L/M1")
+    qb2 = ball([(a,) for a in ctx.m2_letters], "L/M2")
+    qbw = ball(ctx.w_images, "L/W")
+    vertices = []
+    gid = {}
+    for side, qb in (("M1", qb1), ("M2", qb2)):
+        for ci in range(len(qb.classes)):
+            gid[side, ci] = len(vertices)
+            vertices.append(BSVertex(
+                side, ci, f"[{format_word(qb.rep(ci))}]{side}",
+                not qb.partial[ci]))
+    edges = []
+    diagnostics = []
+    for ci in range(len(qbw.classes)):
+        members = [qbw.elements[i] for i in qbw.classes[ci]]
+        x = members[0]
+        t1, t2 = qb1.lookup(x), qb2.lookup(x)
+        ok = all(qb1.lookup(y) == t1 and qb2.lookup(y) == t2
+                 for y in members)
+        if not ok:
+            diagnostics.append({
+                "kind": "edge_incidence_unresolved", "edge_class": ci})
+        edges.append(BSEdge(
+            ci, gid["M1", t1], gid["M2", t2], f"[{format_word(x)}]W",
+            not qbw.partial[ci] and ok))
+    return BassSerreGraph("amalgam", radius, vertices, edges, diagnostics,
+                          {"M1": qb1, "M2": qb2}, qbw)
+
+
+def oracle_op_tree(ctx, radius, budget, margin):
+    def ball(gens, side):
+        return oracle_quotient_ball(ctx.solver, ctx.presentation.alphabet,
+                                    gens, radius, budget, side, margin)
+
+    t = ctx.spec.stable_letter
+    qbm = ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")
+    qba = ball(ctx.a_images, "L/A")
+    vertices = [
+        BSVertex("M", ci, f"[{format_word(qbm.rep(ci))}]M",
+                 not qbm.partial[ci])
+        for ci in range(len(qbm.classes))
+    ]
+    edges = []
+    diagnostics = []
+    for ci in range(len(qba.classes)):
+        members = [qba.elements[i] for i in qba.classes[ci]]
+        x = members[0]
+        tails = {qbm.lookup(y) for y in members}
+        heads = {qbm.lookup(ctx.solver(y + (t,))) for y in members}
+        interior = (not qba.partial[ci]
+                    and len(tails) == 1 and len(heads) == 1
+                    and None not in heads)
+        if len(tails) > 1 or (len(heads) > 1 and None not in heads):
+            diagnostics.append({
+                "kind": "edge_incidence_unresolved", "edge_class": ci})
+        head = next(iter(heads - {None}), None)
+        if head is None:
+            continue
+        edges.append(BSEdge(
+            ci, next(iter(tails)), head, f"[{format_word(x)}]A", interior))
+    return BassSerreGraph("otto_pride", radius, vertices, edges, diagnostics,
+                          {"M": qbm}, qba)
+
+
+def oracle_amalgam_forest(ctx, radius, budget, margin):
+    def ball(gens, side):
+        return oracle_pair_quotient_ball(
+            ctx.solver, ctx.presentation.alphabet, gens, radius, budget,
+            side, margin)
+
+    pq1 = ball([(a,) for a in ctx.m1_letters], "LxL/M1")
+    pq2 = ball([(a,) for a in ctx.m2_letters], "LxL/M2")
+    pqe = ball(ctx.w_images, "LxL/W")
+    vertices = []
+    gid = {}
+    for side, pq in (("M1", pq1), ("M2", pq2)):
+        for ci in range(len(pq.classes)):
+            gid[side, ci] = len(vertices)
+            x, y = pq.rep(ci)
+            vertices.append(BSVertex(
+                side, ci, f"[{format_word(x)},{format_word(y)}]{side}",
+                not pq.partial[ci]))
+    edges = []
+    for ci in range(len(pqe.classes)):
+        members = [pqe.pairs[i] for i in pqe.classes[ci]]
+        p = members[0]
+        t1, t2 = pq1.lookup(p), pq2.lookup(p)
+        ok = all(pq1.lookup(q) == t1 and pq2.lookup(q) == t2
+                 for q in members)
+        edges.append(BSEdge(
+            ci, gid["M1", t1], gid["M2", t2],
+            f"[{format_word(p[0])},{format_word(p[1])}]W",
+            not pqe.partial[ci] and ok))
+    return BassSerreGraph("amalgam_forest", radius, vertices, edges, [],
+                          {"M1": pq1, "M2": pq2}, pqe)
+
+
+def oracle_op_forest(ctx, radius, budget, margin):
+    t = ctx.spec.stable_letter
+    alphabet = ctx.presentation.alphabet
+    pqm = oracle_pair_quotient_ball(
+        ctx.solver, alphabet, [(a,) for a in ctx.spec.m.alphabet.letters],
+        radius, budget, "LxL/M", margin)
+    pqa = oracle_pair_quotient_ball(
+        ctx.solver, alphabet, ctx.a_images, radius, budget, "LxL/A", margin,
+        twist={tuple(g): tuple(v) for g, v in ctx.spec.phi.items()})
+    vertices = [
+        BSVertex("M", ci,
+                 f"[{format_word(pqm.rep(ci)[0])},"
+                 f"{format_word(pqm.rep(ci)[1])}]M",
+                 not pqm.partial[ci])
+        for ci in range(len(pqm.classes))
+    ]
+    edges = []
+    for ci in range(len(pqa.classes)):
+        members = [pqa.pairs[i] for i in pqa.classes[ci]]
+        tails = set()
+        heads = set()
+        for x, y in members:
+            tails.add(pqm.lookup((x, ctx.solver((t,) + y))))
+            heads.add(pqm.lookup((ctx.solver(x + (t,)), y)))
+        tails.discard(None)
+        heads.discard(None)
+        if not tails or not heads:
+            continue
+        interior = (not pqa.partial[ci]
+                    and len(tails) == 1 and len(heads) == 1)
+        x, y = members[0]
+        edges.append(BSEdge(
+            ci, min(tails), min(heads),
+            f"[{format_word(x)},{format_word(y)}]A", interior))
+    return BassSerreGraph("otto_pride_forest", radius, vertices, edges, [],
+                          {"M": pqm}, pqa)
+
+
+def build_graph(kind, forest, ctx, radius, budget, margin):
+    if forest:
+        return bass_serre_forest_bi(ctx, kind, radius, budget, margin)
+    if kind == "amalgam":
+        return bass_serre_ball_amalgam(ctx, radius, budget, margin)
+    return bass_serre_ball_op(ctx, radius, budget, margin)
+
+
+ORACLE_GRAPHS = {
+    ("amalgam", False): oracle_amalgam_tree,
+    ("otto_pride", False): oracle_op_tree,
+    ("amalgam", True): oracle_amalgam_forest,
+    ("otto_pride", True): oracle_op_forest,
+}
+
+DERIVATIONS = {"amalgam": amalgam_derivation, "otto_pride": op_derivation,
+               "otto_pride_forest": op_forest_derivation}
+
+
+def graph_view(g):
+    return ([(v.side, v.class_id, v.label, v.interior) for v in g.vertices],
+            [(e.class_id, e.label, e.interior) for e in g.edges],
+            g.forest_by_search(), g.forest_by_rank())
+
+
+def member_leaves_ball(ctx, g, class_id):
+    """Whether a member of an Otto-Pride forest edge class has an end
+    outside the ball."""
+    t = (ctx.spec.stable_letter,)
+    pqm = g.vertex_balls["M"]
+    return any(pqm.lookup((x, ctx.solver(t + y))) is None
+               or pqm.lookup((ctx.solver(x + t), y)) is None
+               for x, y in (g.edge_ball.elements[i]
+                            for i in g.edge_ball.classes[class_id]))
+
+
+@st.composite
+def graph_cases(draw):
+    # amalgams x^p = y^q and Otto-Pride extensions a^k t = t a^j
+    kind = draw(st.sampled_from(["amalgam", "otto_pride"]))
+    forest = draw(st.booleans())
+    p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    radius = draw(st.integers(1, 5))
+    budget = draw(st.one_of(st.integers(0, 3000), st.just(10**6)))
+    return kind, forest, p, q, radius, budget, draw(st.integers(0, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_cases())
+@example(("otto_pride", False, 1, 1, 1, 10**6, 0))
+@example(("otto_pride", True, 1, 1, 1, 10**6, 0))
+@example(("otto_pride", True, 4, 1, 5, 10**6, 2))
+def test_bass_serre_builder_matches_oracles(case):
+    kind, forest, p, q, radius, budget, margin = case
+    ctx, _ = ball_context(kind, p, q)
+    got = build_graph(kind, forest, ctx, radius, budget, margin)
+    want = ORACLE_GRAPHS[kind, forest](ctx, radius, budget, margin)
+    assert ball_fields(got.edge_ball) == ball_fields(want.edge_ball)
+    assert {side: ball_fields(qb) for side, qb in got.vertex_balls.items()} \
+        == {side: ball_fields(qb) for side, qb in want.vertex_balls.items()}
+    assert graph_view(got)[0] == graph_view(want)[0]
+    assert [(e.class_id, e.label) for e in got.edges] == [
+        (e.class_id, e.label) for e in want.edges]
+    # the Otto-Pride forest used to drop members with an end outside the
+    # ball; the one rule makes those edges, and only those, not interior
+    for e, f in zip(got.edges, want.edges):
+        if e.interior != f.interior:
+            assert got.kind == "otto_pride_forest" and f.interior
+            assert member_leaves_ball(ctx, want, f.class_id)
+    assert graph_view(got)[2:] == graph_view(want)[2:]
+    # the builder reports every class an oracle reported, and an edge
+    # whose members agree on their in-ball ends keeps them
+    assert all(d in got.diagnostics for d in want.diagnostics)
+    unresolved = {d["edge_class"] for d in got.diagnostics}
+    for e, f in zip(got.edges, want.edges):
+        if e.class_id not in unresolved:
+            assert (e.tail, e.head) == (f.tail, f.head)
+    if got.kind in DERIVATIONS:
+        derivation = DERIVATIONS[got.kind]
+        d_got = derivation(ctx, got.edge_ball)
+        d_want = derivation(ctx, want.edge_ball)
+        relations = list(ctx.presentation.relations)
+        samples = samples_from(ctx, 2, 20, radius)
+        assert (check_derivation_wellformed(d_got, relations, samples)
+                == check_derivation_wellformed(d_want, relations, samples))
+        # the beta check runs over the interior edges the two graphs share
+        want.edges = [dataclasses.replace(f, interior=e.interior)
+                      for e, f in zip(got.edges, want.edges)]
+        assert check_beta_section(got, d_got) == check_beta_section(
+            want, d_want)
+
+
+def test_op_tree_reports_edges_it_leaves_out():
+    # in <a,t | aat = taaa> at radius 6, the A-classes 38 and 51 have
+    # members with different M-classes but no t-image in the ball: the
+    # edge is left out and still reported
+    ctx, _ = ball_context("otto_pride", 2, 3)
+    g = bass_serre_ball_op(ctx, 6)
+    assert not {38, 51} & {e.class_id for e in g.edges}
+    assert {38, 51} <= {d["edge_class"] for d in g.diagnostics}
+
+
+def test_default_margin():
+    # the longest relation side; 0 without relations, which leave no way
+    # out of the ball
+    assert default_margin(free("x", "y")) == 0
+    assert default_margin(otto_pride_presentation(OP)) == 3
+    spec = AmalgamSpec(free("x"), free("y"), Presentation(Alphabet(()), ()),
+                       {}, {})
+    ctx = amalgam_context(spec)
+    assert ctx.presentation.relations == ()
+    assert graph_view(bass_serre_ball_amalgam(ctx, 3)) == graph_view(
+        bass_serre_ball_amalgam(ctx, 3, margin=0))
+    assert all(v.interior for v in bass_serre_ball_amalgam(ctx, 3).vertices)
