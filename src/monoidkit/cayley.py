@@ -332,12 +332,6 @@ class ChainComplexExport:
     cell_base_vertices: list     # 2-cell id -> base vertex id
     skipped: list                # vertices whose relator loop leaves the ball
 
-    def to_json(self):
-        return {
-            "cells": len(self.cell_base_vertices),
-            "skipped": self.skipped,
-        }
-
 
 def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
     """Fill in one 2-cell per vertex whose relator-labeled loop closes

@@ -9,17 +9,16 @@ diagnostics on stderr.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .words import (
-    EMPTY,
-    Alphabet,
-    Presentation,
     WordError,
     format_word,
     parse_presentation,
     parse_word_tokens,
+    presentation_from_json,
     presentation_to_json,
     validate_special,
 )
@@ -92,7 +91,7 @@ def _diag(kind, **details):
 
 
 def _emit(args, text):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as f:
             f.write(text)
     else:
@@ -103,10 +102,9 @@ def _emit_json(args, payload):
     _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _load_presentation(args):
-    with open(args.presentation) as f:
-        text = f.read()
-    return parse_presentation(text, name=args.presentation, order=args.order)
+def _load_presentation(path, order=None):
+    with open(path) as f:
+        return parse_presentation(f.read(), name=path, order=order)
 
 
 def _word(s):
@@ -126,27 +124,16 @@ def _unknowns(*verdicts):
 # construction spec files
 
 
-def _pres_from_spec(data):
-    letters = tuple(data["letters"])
-    alphabet = Alphabet(letters)
-    relations = []
-    for r in data.get("relations", []):
-        lhs = r["lhs"] if isinstance(r["lhs"], list) else r["lhs"].split()
-        rhs = r["rhs"] if isinstance(r["rhs"], list) else r["rhs"].split()
-        relations.append((parse_word_tokens(lhs, alphabet),
-                          parse_word_tokens(rhs, alphabet)))
-    return Presentation(alphabet, tuple(relations))
-
-
-def _load_spec(path):
-    with open(path) as f:
-        return json.load(f)
+def _free_product_spec(data):
+    return (presentation_from_json(data["m1"]),
+            presentation_from_json(data["m2"]))
 
 
 def _amalgam_spec(data):
     return AmalgamSpec(
-        _pres_from_spec(data["m1"]), _pres_from_spec(data["m2"]),
-        _pres_from_spec(data["w"]),
+        presentation_from_json(data["m1"]),
+        presentation_from_json(data["m2"]),
+        presentation_from_json(data["w"]),
         {x: _word(img) for x, img in data["f1"].items()},
         {x: _word(img) for x, img in data["f2"].items()})
 
@@ -154,11 +141,37 @@ def _amalgam_spec(data):
 def _op_spec(data):
     basis = data.get("free_basis")
     return OttoPrideSpec(
-        _pres_from_spec(data["m"]),
+        presentation_from_json(data["m"]),
         tuple(_word(g) for g in data["a_gens"]),
         {_word(g): _word(img) for g, img in data["phi"].items()},
         free_basis=tuple(_word(c) for c in basis) if basis else None,
         stable_letter=data.get("stable_letter", "t"))
+
+
+def _hnn_spec(data):
+    """The arguments of hnn_presentation, in order."""
+    return (presentation_from_json(data["m"]),
+            tuple(_word(g) for g in data["a_gens"]),
+            tuple(_word(g) for g in data["b_gens"]),
+            {_word(g): _word(img) for g, img in data["phi"].items()},
+            data.get("stable_letter", "t"))
+
+
+SPEC_READERS = {"free-product": _free_product_spec, "amalgam": _amalgam_spec,
+                "otto-pride": _op_spec, "hnn": _hnn_spec}
+
+
+def _load_spec(args):
+    """The --spec file read as the spec of --kind.  A file that names
+    another kind is an input error; one that names none is taken as
+    --kind."""
+    with open(args.spec) as f:
+        data = json.load(f)
+    kind = data.get("kind", args.kind)
+    if kind != args.kind:
+        raise ConstructionError(
+            f"spec file kind {kind!r} does not match --kind {args.kind!r}")
+    return SPEC_READERS[kind](data)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +179,7 @@ def _op_spec(data):
 
 
 def cmd_parse(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation)
     payload = {"presentation": presentation_to_json(p)}
     try:
         sp = validate_special(p)
@@ -179,7 +192,7 @@ def cmd_parse(args):
 
 
 def cmd_complete(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation, args.order)
     result = knuth_bendix(orient_system(p), args.budget)
     payload = {
         "completed": result.completed,
@@ -195,8 +208,7 @@ def cmd_complete(args):
 
 
 def cmd_rewrite(args):
-    with open(args.system) as f:
-        system = orient_system(parse_presentation(f.read()))
+    system = orient_system(_load_presentation(args.system, args.order))
     word = _word(args.word)
     system.alphabet.check_word(word)
     try:
@@ -215,7 +227,7 @@ def cmd_rewrite(args):
 
 
 def cmd_equal(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation, args.order)
     u, v = _word(args.u), _word(args.v)
     p.alphabet.check_word(u)
     p.alphabet.check_word(v)
@@ -233,7 +245,7 @@ def cmd_equal(args):
 
 
 def cmd_analyze_special(args):
-    sp = validate_special(_load_presentation(args))
+    sp = validate_special(_load_presentation(args.presentation, args.order))
     ua = compute_delta(sp, budget_limit=args.budget)
     units = units_presentation(ua)
     right, zmap = right_units_presentation(ua)
@@ -268,7 +280,7 @@ def _ball_from_args(args, p):
 
 
 def cmd_cayley(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation, args.order)
     g = _ball_from_args(args, p)
     if args.format == "dot":
         _emit(args, g.to_dot())
@@ -278,7 +290,7 @@ def cmd_cayley(args):
 
 
 def cmd_condense(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation, args.order)
     g = _ball_from_args(args, p)
     rep = scc_condense(g)
     check_rooted_tree(rep)
@@ -287,7 +299,7 @@ def cmd_condense(args):
 
 
 def cmd_check_tree(args):
-    p = _load_presentation(args)
+    p = _load_presentation(args.presentation, args.order)
     g = _ball_from_args(args, p)
     rep = scc_condense(g)
     verdict = check_rooted_tree(rep)
@@ -317,45 +329,26 @@ def cmd_check_tree(args):
 
 
 def cmd_construct(args):
-    data = _load_spec(args.spec)
-    kind = data.get("kind", args.kind)
-    if kind != args.kind:
-        raise ConstructionError(
-            f"spec file kind {kind!r} does not match --kind {args.kind!r}")
-    if kind == "free-product":
-        p = free_product(_pres_from_spec(data["m1"]),
-                         _pres_from_spec(data["m2"]))
-        diagnostics = []
-    elif kind == "amalgam":
-        spec = _amalgam_spec(data)
+    spec = _load_spec(args)
+    diagnostics = []
+    if args.kind == "free-product":
+        p = free_product(*spec)
+    elif args.kind == "amalgam":
         p = amalgam_presentation(spec, args.budget)
         diagnostics = spec.diagnostics
-    elif kind == "otto-pride":
-        p = otto_pride_presentation(_op_spec(data))
-        diagnostics = []
-    elif kind == "hnn":
-        p = hnn_presentation(
-            _pres_from_spec(data["m"]),
-            tuple(_word(g) for g in data["a_gens"]),
-            tuple(_word(g) for g in data["b_gens"]),
-            {_word(g): _word(img) for g, img in data["phi"].items()},
-            stable_letter=data.get("stable_letter", "t"))
-        diagnostics = []
+    elif args.kind == "otto-pride":
+        p = otto_pride_presentation(spec)
     else:
-        raise ConstructionError(f"unknown construction kind {kind!r}")
-    _emit_json(args, {"kind": kind,
+        p = hnn_presentation(*spec)
+    _emit_json(args, {"kind": args.kind,
                       "presentation": presentation_to_json(p),
                       "diagnostics": diagnostics})
     return EXIT_OK
 
 
 def _bass_serre_context(args):
-    data = _load_spec(args.spec)
-    if args.kind == "amalgam":
-        return amalgam_context(_amalgam_spec(data), args.budget)
-    if args.kind == "otto-pride":
-        return op_context(_op_spec(data), args.budget)
-    raise ConstructionError(f"unknown bass-serre kind {args.kind!r}")
+    context = amalgam_context if args.kind == "amalgam" else op_context
+    return context(_load_spec(args), args.budget)
 
 
 def _bass_serre_graph(args, ctx):
@@ -385,7 +378,7 @@ def cmd_bass_serre(args):
 
 
 def cmd_chain(args):
-    sp = validate_special(_load_presentation(args))
+    sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
     _emit_json(args, {
@@ -400,7 +393,7 @@ def cmd_chain(args):
 
 
 def cmd_homology(args):
-    sp = validate_special(_load_presentation(args))
+    sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
     homology, exact = _homology_and_exactness(
@@ -442,56 +435,60 @@ def cmd_verify_derivations(args):
 # argument parsing
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused by every
+    later one in the process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="monoidkit",
         description="combinatorial structure of finitely presented monoids")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **flags):
+    def add(name, handler, source="--presentation", order=True,
+            budget=True, radius=False, formats=None, kinds=None):
+        # source is the input file flag; --order orders the alphabet of a
+        # presentation file, so only commands that compute with one take it
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        if flags.get("formats"):
-            p.add_argument("--format", choices=flags["formats"],
-                           default="json")
+        p.add_argument(source, required=True)
         p.add_argument("--out")
-        p.add_argument("--order", type=lambda s: s.split(","), default=None)
-        if flags.get("presentation"):
-            p.add_argument("--presentation", required=True)
-        if flags.get("radius"):
+        if order:
+            p.add_argument("--order", type=lambda s: s.split(","))
+        if budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        if radius:
             p.add_argument("--radius", type=int, required=True)
-            p.add_argument("--margin", type=int, default=None)
-        if flags.get("spec"):
-            p.add_argument("--spec", required=True)
-            p.add_argument("--kind", required=True,
-                           choices=("free-product", "amalgam", "otto-pride",
-                                    "hnn"))
+            p.add_argument("--margin", type=int)
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+        if kinds:
+            p.add_argument("--kind", required=True, choices=kinds)
         return p
 
-    add("parse", cmd_parse, presentation=True)
-    add("complete", cmd_complete, presentation=True)
-    p = add("rewrite", cmd_rewrite)
-    p.add_argument("--system", required=True)
+    bass_serre_kinds = ("amalgam", "otto-pride")
+    add("parse", cmd_parse, order=False, budget=False)
+    add("complete", cmd_complete)
+    p = add("rewrite", cmd_rewrite, source="--system")
     p.add_argument("--word", required=True)
-    p = add("equal", cmd_equal, presentation=True)
+    p = add("equal", cmd_equal)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
-    p = add("analyze-special", cmd_analyze_special, presentation=True)
+    p = add("analyze-special", cmd_analyze_special)
     p.add_argument("--emit", choices=("units", "right-units", "delta", "all"),
                    default="all")
-    add("cayley", cmd_cayley, presentation=True, radius=True,
-        formats=("json", "dot"))
-    add("condense", cmd_condense, presentation=True, radius=True)
-    add("check-tree", cmd_check_tree, presentation=True, radius=True)
-    add("construct", cmd_construct, spec=True)
-    p = add("bass-serre", cmd_bass_serre, spec=True, radius=True,
-            formats=("json", "dot", "matrix"))
+    add("cayley", cmd_cayley, radius=True, formats=("json", "dot"))
+    add("condense", cmd_condense, radius=True)
+    add("check-tree", cmd_check_tree, radius=True)
+    add("construct", cmd_construct, source="--spec", order=False,
+        kinds=tuple(SPEC_READERS))
+    p = add("bass-serre", cmd_bass_serre, source="--spec", order=False,
+            radius=True, formats=("json", "dot", "matrix"),
+            kinds=bass_serre_kinds)
     p.add_argument("--forest", action="store_true")
-    add("chain", cmd_chain, presentation=True, radius=True)
-    add("homology", cmd_homology, presentation=True, radius=True)
-    p = add("verify-derivations", cmd_verify_derivations, spec=True,
-            radius=True)
+    add("chain", cmd_chain, radius=True)
+    add("homology", cmd_homology, radius=True)
+    p = add("verify-derivations", cmd_verify_derivations, source="--spec",
+            order=False, radius=True, kinds=bass_serre_kinds)
     p.add_argument("--forest", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

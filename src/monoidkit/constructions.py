@@ -204,8 +204,9 @@ class OPContext:
         self.t = spec.stable_letter
         self.nf_m, self.system_m = completed_solver(spec.m, budget_limit)
         self.basis = tuple(tuple(c) for c in spec.free_basis)
-        self.phi = {tuple(g): tuple(v) for g, v in spec.phi.items()}
         self.a_gens = tuple(tuple(g) for g in spec.a_gens)
+        self.phi = dict(zip(self.a_gens,
+                            _phi_images(self.a_gens, spec.phi)))
         self._longest_gen = max((len(g) for g in self.a_gens), default=0)
         self._a_pools = {}
         self._factor_tables = {}
@@ -761,11 +762,6 @@ class DerivationValue:
     @property
     def resolved(self):
         return not self.unresolved
-
-    def __eq__(self, other):
-        return (isinstance(other, DerivationValue)
-                and self.ze == other.ze
-                and self.resolved and other.resolved)
 
 
 def derivation_eval(d: DerivationSpec, word: Word) -> DerivationValue:

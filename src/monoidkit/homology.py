@@ -107,9 +107,6 @@ class SmithForm:
     def torsion(self):
         return tuple(d for d in self.diag if d > 1)
 
-    def to_json(self):
-        return {"invariant_factors": list(self.diag), "rank": self.rank}
-
 
 def _eliminate(m: SparseIntMatrix, _record=False):
     """Sparse integer elimination to Smith normal form.
@@ -215,12 +212,6 @@ class InjectivityCertificate:
     rank: int
     edge_count: int
     kernel: list = None
-
-    def to_json(self):
-        out = {"rank": self.rank, "edges": self.edge_count}
-        if self.kernel is not None:
-            out["kernel_vector"] = self.kernel
-        return out
 
 
 def check_boundary_injective(m: SparseIntMatrix):

@@ -32,12 +32,6 @@ class UnorientedSystemError(RewritingError):
     pass
 
 
-class UnorientableError(RewritingError):
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"cannot orient pair {pair}")
-
-
 class BudgetExhausted(RewritingError):
     """Carries whatever partial result the search had produced."""
 

@@ -66,13 +66,6 @@ class InvertibilityCertificate:
     right_trace: list = None
     left_trace: list = None
 
-    def to_json(self):
-        return {
-            "word": format_word(self.word),
-            "right_inverse": format_word(self.right_inverse),
-            "left_inverse": format_word(self.left_inverse),
-        }
-
 
 def _unit_ball(sp: SpecialPresentation, max_len: int, budget: Budget):
     """Words provably equal to the empty word, with BFS parents for traces."""
@@ -146,7 +139,7 @@ def _dead_letter(system: RewriteSystem, nf: Word) -> bool:
 
 
 def indecomposable_factorization(sp: SpecialPresentation, v: Word,
-                                 budget_limit=DEFAULT_BUDGET, system=None):
+                                 budget_limit=DEFAULT_BUDGET):
     """Split v by repeatedly removing the shortest prefix that certifies
     invertible.  Raises BudgetExhausted (carrying the stuck position and
     the factors found so far) if some suffix has no certifiable prefix."""
@@ -156,7 +149,7 @@ def indecomposable_factorization(sp: SpecialPresentation, v: Word,
     while rest:
         split = None
         for k in range(1, len(rest) + 1):
-            verdict = certify_invertible(sp, rest[:k], budget_limit, system)
+            verdict = certify_invertible(sp, rest[:k], budget_limit)
             if verdict.proven:
                 split = k
                 break
@@ -183,12 +176,6 @@ class UnitsAnalysis:
     I0: tuple = ()
     diagnostics: list = field(default_factory=list)
     certified: bool = True
-
-    def phi_letter(self, d: Word) -> str:
-        return self._phi[d]
-
-    def rep_of(self, b: str) -> Word:
-        return self._rep[b]
 
     def delta_at(self, w: Word, i: int) -> Word | None:
         """The delta word that occurs in w at position i, or None.  Delta is

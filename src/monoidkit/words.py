@@ -198,10 +198,19 @@ def presentation_to_json(p: Presentation) -> dict:
 
 
 def presentation_from_json(data: dict, name=None) -> Presentation:
+    """Read ``{"letters": [...], "relations": [{"lhs": ..., "rhs": ...}]}``.
+
+    A side is a list of letters or a space-separated string, ``1`` for the
+    empty word; missing ``relations`` means none.
+    """
     alphabet = Alphabet(tuple(data["letters"]))
-    relations = tuple(
-        (tuple(r["lhs"]), tuple(r["rhs"])) for r in data["relations"]
-    )
+
+    def side(s):
+        return parse_word_tokens(s.split() if isinstance(s, str) else s,
+                                 alphabet)
+
+    relations = tuple((side(r["lhs"]), side(r["rhs"]))
+                      for r in data.get("relations", ()))
     return Presentation(alphabet, relations, name)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from monoidkit import cli
 from monoidkit.cli import main
 
 BICYCLIC = "letters: a b\nrel: a b = 1\n"
@@ -99,12 +103,32 @@ def test_format_text_is_rejected(capsys, bicyclic_file):
     ["parse", "--seed", "1"],
     ["cayley", "--radius", "2", "--seed", "1"],
     ["complete", "--seed", "1"],
+    ["parse", "--budget", "5"],
+    ["parse", "--order", "b,a"],
 ])
 def test_flags_only_where_they_work(capsys, bicyclic_file, argv):
     # --format exists only on cayley (json|dot) and bass-serre
-    # (json|dot|matrix), --seed only on verify-derivations
+    # (json|dot|matrix), --seed only on verify-derivations; parse reads
+    # neither --budget nor --order
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--presentation", bicyclic_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--kind", "amalgam", "--order", "b,a"],
+    ["bass-serre", "--kind", "amalgam", "--radius", "2", "--order", "b,a"],
+    ["verify-derivations", "--kind", "amalgam", "--radius", "2",
+     "--order", "b,a"],
+    ["bass-serre", "--kind", "hnn", "--radius", "2"],
+])
+def test_spec_commands_reject_flags(capsys, amalgam_spec_file, argv):
+    # the spec fixes the alphabet, and only amalgams and Otto-Pride
+    # extensions have Bass-Serre graphs
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--spec", amalgam_spec_file])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err or "invalid choice" in err
@@ -224,6 +248,19 @@ def test_construct_amalgam(capsys, amalgam_spec_file):
     assert data["presentation"]["letters"] == ["x", "y"]
     assert data["presentation"]["relations"] == [
         {"lhs": ["x", "x"], "rhs": ["y", "y", "y"]}]
+
+
+@pytest.mark.parametrize("command", ["bass-serre", "verify-derivations"])
+@pytest.mark.parametrize("kind, spec", [("amalgam", OP_SPEC),
+                                         ("otto-pride", AMALGAM_SPEC)])
+def test_spec_kind_mismatch(capsys, tmp_path, command, kind, spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    assert main([command, "--kind", kind, "--spec", str(f),
+                 "--radius", "3"]) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "ConstructionError"
+    assert "does not match --kind" in diag["detail"]
 
 
 def test_construct_otto_pride(capsys, op_spec_file):
@@ -377,3 +414,30 @@ def test_order_flag(capsys, tmp_path):
     code, data = run_json(capsys, "complete", "--presentation", str(f),
                           "--order", "b,a")
     assert code == 0 and data["rules"] == [{"lhs": "a b", "rhs": "b a"}]
+    code, data = run_json(capsys, "rewrite", "--system", str(f),
+                          "--word", "a b a", "--order", "b,a")
+    assert code == 0 and data["normal_form"] == "b a a"
+
+
+def test_one_parser_per_process(capsys, tmp_path, bicyclic_file,
+                                amalgam_spec_file):
+    # a second call parses into a fresh namespace: the first call's --out
+    # does not carry over, and both artifacts match separate processes
+    first = ["cayley", "--presentation", bicyclic_file, "--radius", "3"]
+    second = ["bass-serre", "--kind", "amalgam", "--spec", amalgam_spec_file,
+              "--radius", "3", "--format", "dot"]
+    out = tmp_path / "ball.json"
+    cli.build_parser.cache_clear()
+    assert main(first + ["--out", str(out)]) == 0
+    code, text = run(capsys, *second)
+    assert code == 0
+    assert cli.build_parser.cache_info().misses == 1
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def separate(argv):
+        return subprocess.run([sys.executable, "-m", "monoidkit.cli"] + argv,
+                              env=env, capture_output=True, text=True,
+                              check=True).stdout
+
+    assert out.read_text() == separate(first)
+    assert text == separate(second)

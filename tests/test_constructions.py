@@ -235,6 +235,16 @@ def test_basis_must_contain_identity():
         OPContext(spec)
 
 
+def test_op_context_checks_phi():
+    # a generator of A without a phi image is a spec error at construction,
+    # not a KeyError in the first normal form that pushes it through t
+    spec = OttoPrideSpec(free("a"), (w("aa"),), {w("a"): w("a")},
+                         free_basis=(EMPTY, w("a")))
+    with pytest.raises(ConstructionError, match="a_gens word a a has no "
+                                                "phi image"):
+        OPContext(spec)
+
+
 def test_op_normal_form_examples(opctx):
     nf = op_normal_form(opctx, w("aaat"))
     assert nf.cs == (w("a"), w("a")) and nf.trail == EMPTY

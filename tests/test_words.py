@@ -69,6 +69,20 @@ def test_json_roundtrip():
     assert q.alphabet.letters == p.alphabet.letters
 
 
+def test_json_sides():
+    want = parse_presentation("letters: a b\nrel: a b = 1\nrel: b = b\n")
+    for relations in (
+        [{"lhs": "a b", "rhs": "1"}, {"lhs": "b", "rhs": "b"}],
+        [{"lhs": ["a", "b"], "rhs": []}, {"lhs": ["b"], "rhs": "b"}],
+        [{"lhs": "a b", "rhs": ["1"]}, {"lhs": ["b"], "rhs": ["b"]}],
+    ):
+        p = presentation_from_json({"letters": ["a", "b"],
+                                    "relations": relations})
+        assert p == want
+    assert (presentation_from_json({"letters": ["a", "b"]})
+            == parse_presentation("letters: a b\n"))
+
+
 def test_validate_special():
     sp = validate_special(parse_presentation(BICYCLIC))
     assert sp.relators == (("a", "b"),)
