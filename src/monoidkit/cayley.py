@@ -77,6 +77,9 @@ def cayley_ball(solver, alphabet: Alphabet, radius: int,
     the maximum relator length as the margin so that facts about interior
     vertices cannot be spoiled by unexplored return paths.
     """
+    if radius < 0 or margin < 0:
+        raise CayleyError(
+            f"radius and margin must be >= 0, got {radius} and {margin}")
     root = solver(EMPTY)
     ids = {root: 0}
     vertices = [root]

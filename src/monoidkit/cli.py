@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .words import (
     WordError,
@@ -98,8 +99,42 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+# how json.dumps writes each scalar type an artifact carries
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): lambda _: "null"}
+
+
+def _json_text(o, newline="\n"):
+    """json.dumps(o, sort_keys=True, indent=2) for dicts with str keys,
+    lists, tuples, str, int, bool and None, without the stdlib's slow
+    pure-Python encoder for indented text."""
+    scalar = _SCALARS.get(type(o))
+    if scalar:
+        return scalar(o)
+    inner = newline + "  "
+    items = []
+    if isinstance(o, dict):
+        for k in sorted(o):     # a key that is no str raises TypeError
+            scalar = _SCALARS.get(type(o[k]))
+            items.append(encode_basestring_ascii(k) + ": " + (
+                scalar(o[k]) if scalar else _json_text(o[k], inner)))
+        brackets = "{}"
+    elif isinstance(o, (list, tuple)):
+        for v in o:
+            scalar = _SCALARS.get(type(v))
+            items.append(scalar(v) if scalar else _json_text(v, inner))
+        brackets = "[]"
+    else:
+        raise TypeError(f"not an artifact value: {type(o).__name__}")
+    if not items:
+        return brackets
+    return (brackets[0] + inner + ("," + inner).join(items) + newline
+            + brackets[1])
+
+
 def _emit_json(args, payload):
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, _json_text(payload) + "\n")
 
 
 def _load_presentation(path, order=None):
@@ -435,6 +470,12 @@ def cmd_verify_derivations(args):
 # argument parsing
 
 
+def _nonnegative(text):
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and reused by every
@@ -457,8 +498,8 @@ def build_parser():
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if radius:
-            p.add_argument("--radius", type=int, required=True)
-            p.add_argument("--margin", type=int)
+            p.add_argument("--radius", type=_nonnegative, required=True)
+            p.add_argument("--margin", type=_nonnegative)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
         if kinds:

@@ -11,7 +11,9 @@ certificates carry the radius they were computed at.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .words import (
     EMPTY,
@@ -24,7 +26,6 @@ from .words import (
 )
 from .rewriting import (
     DEFAULT_BUDGET,
-    Budget,
     RewriteSystem,
     equal_words,
     knuth_bendix,
@@ -324,9 +325,12 @@ class QuotientBall:
     classes: list           # class id -> sorted member element ids
     partial: list           # class id -> bool
     truncated: bool = False
+    # the Cayley ball the elements come from: a pair ball's pair (x, y) has
+    # id id(x) * n + id(y), n being the number of the ball's vertices
+    ball: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._index = dict(zip(self.elements, self.class_of))
+        self._index = None      # element -> class id, built on first lookup
 
     @property
     def pairs(self):
@@ -335,6 +339,8 @@ class QuotientBall:
 
     def lookup(self, element):
         """Class id of an element, or None if outside the ball."""
+        if self._index is None:
+            self._index = dict(zip(self.elements, self.class_of))
         return self._index.get(element)
 
     def rep(self, class_id):
@@ -357,38 +363,29 @@ class QuotientBall:
         }
 
 
-def _quotient(side, radius, elements, depth, moves, budget_limit, margin):
-    """Classes of elements under the joins in moves: for each element in
-    order, its generator moves, each the pair of element ids it joins or
-    None when it leaves the ball.  Every move costs one budget step; when
-    the budget runs out, the rest go unjoined and every class is partial.
-    A class whose every member sits within margin of the ball boundary had
-    little room to merge, so only classes seen well inside the ball are
-    settled at this radius."""
+def _quotient(side, radius, ball, elements, depth, k, joins, budget_limit,
+              margin):
+    """Classes of elements under their generator moves: k per element, in
+    order, each one budget step, so the first min(len(elements) * k,
+    budget) run; joins(m) gives the id pairs the first m moves join (a
+    move that leaves the ball joins none).  When the budget runs out,
+    every class is partial.  A class whose every member sits within margin
+    of the ball boundary had little room to merge, so only classes seen
+    well inside the ball are settled at this radius."""
+    if margin < 0:
+        raise ConstructionError(f"margin must be >= 0, got {margin}")
+    total = len(elements) * k
+    run = min(total, max(budget_limit, 0))
     uf = UnionFind(len(elements))
-    budget = Budget(budget_limit)
-    truncated = False
-    for joins in moves:
-        for move in joins:
-            if not budget.spend():
-                truncated = True
-                break
-            if move is not None:
-                uf.union(*move)
-        if truncated:
-            break
-    groups = {}
-    for i in range(len(elements)):
-        groups.setdefault(uf.find(i), []).append(i)
-    classes = sorted(groups.values(), key=lambda m: m[0])
-    class_of = [None] * len(elements)
-    for ci, members in enumerate(classes):
-        for v in members:
-            class_of[v] = ci
-    partial = [truncated or min(depth[v] for v in members) > radius - margin
-               for members in classes]
-    return QuotientBall(side, radius, list(elements), class_of, classes,
-                        partial, truncated)
+    uf.union_all(joins(run))
+    class_of, classes = uf.classes()
+    partial = [True] * len(classes)
+    if run == total:
+        settled = radius - margin
+        for c in {c for c, d in zip(class_of, depth) if d <= settled}:
+            partial[c] = False
+    return QuotientBall(side, radius, elements, class_of, classes, partial,
+                        run < total, ball)
 
 
 def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
@@ -399,16 +396,19 @@ def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
     within margin of the ball boundary are flagged partial: their membership
     and distinctness are least settled at this radius."""
     ball = cayley_ball(solver, alphabet, radius, 0)
-    ids = {x: i for i, x in enumerate(ball.vertices)}
+    elements, ids = ball.vertices, ball._ids
     k_gens = tuple(tuple(g) for g in k_gens)
+    k = len(k_gens)
 
-    def moves():
-        for i, x in enumerate(ball.vertices):
-            js = [ids.get(solver(x + g)) for g in k_gens]
-            yield [None if j is None else (i, j) for j in js]
+    def joins(run):
+        for m in range(run):
+            i, g = divmod(m, k)
+            j = ids.get(solver(elements[i] + k_gens[g]))
+            if j is not None:
+                yield i, j
 
-    return _quotient(side, radius, ball.vertices, ball.depth, moves(),
-                     budget_limit, margin)
+    return _quotient(side, radius, ball, list(elements), ball.depth, k,
+                     joins, budget_limit, margin)
 
 
 def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
@@ -420,10 +420,10 @@ def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
     when the two actions differ.  The depth of a pair is the sum of its
     element depths."""
     ball = cayley_ball(solver, alphabet, radius, 0)
-    elements, depth = ball.vertices, ball.depth
+    elements, depth, ids = ball.vertices, ball.depth, ball._ids
     n = len(elements)
-    ids = {x: i for i, x in enumerate(elements)}
     k_gens = tuple(tuple(g) for g in k_gens)
+    k = len(k_gens)
     if twist is None:
         twist = {g: g for g in k_gens}
     # each move depends on one element only: x.g on x, twist(g).y on y;
@@ -432,17 +432,27 @@ def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
     left = [[ids.get(solver(twist[g] + y)) for g in k_gens]
             for y in elements]
 
-    def moves():
-        for i in range(n):
-            for j in range(n):
-                yield [(xg * n + j, i * n + gy)
-                       if xg is not None and gy is not None else None
-                       for xg, gy in zip(right[i], left[j])]
+    def joins(run):
+        # move g of pair p runs iff p * k + g < run, so for the pairs below
+        # stop; for (x, y) = i * n + j it joins (x.g, y) = xg * n + j with
+        # (x, twist(g).y) = i * n + gy
+        xs, ys = [], []
+        for g in range(k):
+            stop = (run - g + k - 1) // k
+            js = [j for j in range(n) if left[j][g] is not None]
+            gys = [left[j][g] for j in js]
+            for i in range(min(n, -(-stop // n))):
+                xg = right[i][g]
+                if xg is not None:
+                    width = bisect_left(js, stop - i * n)
+                    xs.extend(map((xg * n).__add__, js[:width]))
+                    ys.extend(map((i * n).__add__, gys[:width]))
+        return zip(xs, ys)
 
     pairs = [(x, y) for x in elements for y in elements]
     pair_depth = [dx + dy for dx in depth for dy in depth]
-    return _quotient(side, radius, pairs, pair_depth, moves(), budget_limit,
-                     margin)
+    return _quotient(side, radius, ball, pairs, pair_depth, k, joins,
+                     budget_limit, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -520,13 +530,10 @@ class BassSerreGraph:
     def components(self):
         """Interior components as a map vertex id -> component id."""
         uf = UnionFind(len(self.vertices))
-        for ei in self.interior_edge_ids():
-            e = self.edges[ei]
-            uf.union(e.tail, e.head)
-        comp = {}
-        for v in self.interior_vertex_ids():
-            comp.setdefault(uf.find(v), []).append(v)
-        ordered = sorted(comp.values(), key=lambda c: c[0])
+        uf.union_all((self.edges[ei].tail, self.edges[ei].head)
+                     for ei in self.interior_edge_ids())
+        # interior edges join interior vertices only
+        ordered = [c for c in uf.classes()[1] if self.vertices[c[0]].interior]
         return {v: ci for ci, members in enumerate(ordered) for v in members}
 
     def to_json(self):
@@ -558,12 +565,16 @@ class BassSerreGraph:
         return "\n".join(lines) + "\n"
 
 
-def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball, ends):
+def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
+                ends=None):
     """The Bass-Serre graph whose vertices are the classes of the vertex
     balls (side -> ball, in order) and whose edges are the classes of
-    edge_ball.  ends(elements) gives, for the edge ball's elements, the
-    lists of their tail elements, looked up in the first vertex ball, and
-    of their head elements, looked up in the last.
+    edge_ball.  All the balls are built on equal Cayley balls (one solver,
+    alphabet and radius), so they number their elements alike.
+    ends(edge_ball) gives, for the edge ball's elements, the ids of their
+    tail elements in the first vertex ball and of their head elements in
+    the last, None outside the ball; without ends, each edge element is
+    its own tail and head.
 
     The incidence rule, per edge class: it is reported unresolved when its
     members' in-ball ends name more than one tail or more than one head;
@@ -582,25 +593,34 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball, ends):
     sides = list(vertex_balls)
     tail_ball, head_ball = vertex_balls[sides[0]], vertex_balls[sides[-1]]
     tail_base, head_base = offset[sides[0]], offset[sides[-1]]
-    tails, heads = ends(edge_ball.elements)
-    tail_of = [tail_ball.lookup(x) for x in tails]
-    head_of = [head_ball.lookup(x) for x in heads]
+    tails, heads = (ends(edge_ball) if ends
+                    else (range(len(edge_ball.elements)),) * 2)
+    tail_of = [None if x is None else tail_ball.class_of[x] for x in tails]
+    head_of = [None if x is None else head_ball.class_of[x] for x in heads]
     edges = []
     diagnostics = []
     for ci, members in enumerate(edge_ball.classes):
-        ts = {tail_of[i] for i in members}
-        hs = {head_of[i] for i in members}
-        if len(ts - {None}) > 1 or len(hs - {None}) > 1:
+        ts = set(map(tail_of.__getitem__, members))
+        hs = set(map(head_of.__getitem__, members))
+        leaves = None in ts or None in hs
+        ts.discard(None)
+        hs.discard(None)
+        if len(ts) > 1 or len(hs) > 1:
             diagnostics.append({
                 "kind": "edge_incidence_unresolved", "edge_class": ci})
-        if ts == {None} or hs == {None}:
+        if not ts or not hs:
             continue    # the whole edge leaves the ball
-        tail = next(tail_of[i] for i in members if tail_of[i] is not None)
-        head = next(head_of[i] for i in members if head_of[i] is not None)
+        first = members[0]
+        tail, head = tail_of[first], head_of[first]
+        if tail is None:
+            tail = next(tail_of[i] for i in members if tail_of[i] is not None)
+        if head is None:
+            head = next(head_of[i] for i in members if head_of[i] is not None)
         edges.append(BSEdge(
             ci, tail_base + tail, head_base + head,
-            f"[{_format(edge_ball.elements[members[0]])}]{edge_side}",
-            not edge_ball.partial[ci] and len(ts) == 1 and len(hs) == 1))
+            f"[{_format(edge_ball.elements[first])}]{edge_side}",
+            not (edge_ball.partial[ci] or leaves or len(ts) > 1
+                 or len(hs) > 1)))
     return BassSerreGraph(kind, radius, vertices, edges, diagnostics,
                           vertex_balls, edge_ball)
 
@@ -650,7 +670,7 @@ def bass_serre_ball_amalgam(ctx: AmalgamContext, radius: int,
         "amalgam", radius,
         {"M1": ball([(a,) for a in ctx.m1_letters], "L/M1"),
          "M2": ball([(a,) for a in ctx.m2_letters], "L/M2")},
-        "W", ball(ctx.w_images, "L/W"), lambda xs: (xs, xs))
+        "W", ball(ctx.w_images, "L/W"))
 
 
 @dataclass
@@ -677,11 +697,16 @@ def bass_serre_ball_op(ctx: OPBallContext, radius: int,
     of [x]_A runs from [x]_M to [xt]_M."""
     ball = _balls(quotient_ball, ctx, radius, budget_limit, margin)
     t = (ctx.spec.stable_letter,)
+
+    def ends(edge_ball):
+        ids = edge_ball.ball._ids
+        return (range(len(edge_ball.elements)),
+                [ids.get(ctx.solver(x + t)) for x in edge_ball.elements])
+
     return _bass_serre(
         "otto_pride", radius,
         {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")},
-        "A", ball(ctx.a_images, "L/A"),
-        lambda xs: (xs, [ctx.solver(x + t) for x in xs]))
+        "A", ball(ctx.a_images, "L/A"), ends)
 
 
 def bass_serre_forest_bi(ctx, kind: str, radius: int,
@@ -699,16 +724,21 @@ def bass_serre_forest_bi(ctx, kind: str, radius: int,
             "amalgam_forest", radius,
             {"M1": ball([(a,) for a in ctx.m1_letters], "LxL/M1"),
              "M2": ball([(a,) for a in ctx.m2_letters], "LxL/M2")},
-            "W", ball(ctx.w_images, "LxL/W"), lambda xs: (xs, xs))
+            "W", ball(ctx.w_images, "LxL/W"))
     t = (ctx.spec.stable_letter,)
 
-    def ends(pairs):
-        # t.y and x.t depend on one element each: normalize them once
-        ball = {x for x, _ in pairs}
-        t_times = {y: ctx.solver(t + y) for y in ball}
-        times_t = {x: ctx.solver(x + t) for x in ball}
-        return ([(x, t_times[y]) for x, y in pairs],
-                [(times_t[x], y) for x, y in pairs])
+    def ends(edge_ball):
+        # the pair (x_i, y_j) has id i * n + j: its tail (x_i, t.y_j) has id
+        # i * n + id(t.y_j) and its head (x_i.t, y_j) has id(x_i.t) * n + j
+        elements, ids = edge_ball.ball.vertices, edge_ball.ball._ids
+        n = len(elements)
+        t_y = [ids.get(ctx.solver(t + y)) for y in elements]
+        x_t = [ids.get(ctx.solver(x + t)) for x in elements]
+        return ([None if b is None else i * n + b
+                 for i in range(n) for b in t_y],
+                list(chain.from_iterable(
+                    repeat(None, n) if a is None else range(a * n, a * n + n)
+                    for a in x_t)))
 
     return _bass_serre(
         "otto_pride_forest", radius,

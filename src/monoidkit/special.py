@@ -281,11 +281,9 @@ def compute_delta(sp: SpecialPresentation,
             if uf.find(i) != uf.find(j) and equal_words(
                     sp.base, u, ua.delta[j], budget_limit).proven:
                 uf.union(i, j)
-    classes = {}
-    for i, d in enumerate(ua.delta):
-        classes.setdefault(uf.find(i), []).append(d)
     parts = sorted(
-        (sorted(c, key=alphabet.shortlex_key) for c in classes.values()),
+        (sorted((ua.delta[i] for i in c), key=alphabet.shortlex_key)
+         for c in uf.classes()[1]),
         key=lambda c: alphabet.shortlex_key(c[0]))
     ua.partition = tuple(tuple(c) for c in parts)
     ua.representatives = tuple(c[0] for c in ua.partition)

@@ -253,6 +253,33 @@ class UnionFind:
         return x
 
     def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+        self.union_all(((x, y),))
+
+    def union_all(self, pairs):
+        """union(x, y) for each pair (x, y), in one loop."""
+        parent = self.parent
+        for x, y in pairs:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            else:
+                parent[x] = y
+
+    def classes(self):
+        """class_of (element -> class id) and the classes (class id ->
+        ascending members), numbered by least member in one pass: a parent
+        is never above its child, so it is numbered first."""
+        class_of = []
+        classes = []
+        for x, p in enumerate(self.parent):
+            if p == x:
+                class_of.append(len(classes))
+                classes.append([x])
+            else:
+                c = class_of[p]
+                class_of.append(c)
+                classes[c].append(x)
+        return class_of, classes

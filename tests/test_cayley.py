@@ -193,6 +193,16 @@ def test_chain_export_free_monoid_no_cells():
     assert export.boundary2.cols == 0
 
 
+def test_cayley_ball_rejects_negative_radius_or_margin():
+    # the search stops only at depth == radius
+    z5 = sp("letters: a\nrel: a a a a a = 1")
+    solver = lambda word: word[:len(word) % 5]
+    assert len(cayley_ball(solver, z5.alphabet, 9, 0).vertices) == 5
+    for radius, margin in ((-1, 0), (2, -1)):
+        with pytest.raises(CayleyError):
+            cayley_ball(solver, z5.alphabet, radius, margin)
+
+
 def test_chain_export_rejects_multi_relator():
     p = sp("letters: a b\nrel: a b = 1\nrel: b a = 1")
     g = cayley_ball(lambda word: word, p.alphabet, 1, 0)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoidkit import cli
 from monoidkit.cli import main
@@ -441,3 +442,57 @@ def test_one_parser_per_process(capsys, tmp_path, bicyclic_file,
 
     assert out.read_text() == separate(first)
     assert text == separate(second)
+
+
+Z5 = "letters: a\nrel: a a a a a = 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cayley", "--radius", "-2"],
+    ["cayley", "--radius", "2", "--margin", "-1"],
+    ["check-tree", "--radius", "-1"],
+    ["homology", "--radius", "3", "--margin", "-5"],
+])
+def test_negative_radius_or_margin_is_rejected(capsys, tmp_path, argv):
+    # a negative radius used to let the ball search run without bound
+    f = tmp_path / "z5.txt"
+    f.write_text(Z5)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--presentation", str(f)])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("forest", [[], ["--forest"]])
+@pytest.mark.parametrize("command", ["bass-serre", "verify-derivations"])
+def test_negative_margin_on_specs(capsys, op_spec_file, command, forest):
+    # a negative margin used to call every class interior
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--kind", "otto-pride", "--spec", op_spec_file,
+              "--radius", "3", "--margin", "-1"] + forest)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def artifact_values():
+    scalars = (st.text() | st.integers(-10**30, 10**30) | st.booleans()
+               | st.none())
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.just(())
+        | st.dictionaries(st.text(), inner, max_size=4)), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(artifact_values())
+def test_json_text_is_json_dumps(value):
+    # text covers non-ASCII, quotes and control characters
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [0.0], {"a": {1, 2}}, {1: "a"},
+                                   {"a": {None: 1}}, {"a": 1, 2: 3},
+                                   [b"bytes"]])
+def test_json_text_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)

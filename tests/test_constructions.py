@@ -424,9 +424,9 @@ def ball_context(kind, p, q):
         ctx = amalgam_context(AmalgamSpec(
             free("x"), free("y"), free("w"),
             {"w": w("x") * p}, {"w": w("y") * q}))
-        return ctx, ((w("x"),), (w("y"),), ctx.w_images[0])
+        return ctx, (w("x"), w("y"), ctx.w_images[0])
     ctx = op_context(op_spec(p, q, [w("a") * i for i in range(p)]))
-    return ctx, tuple(dict.fromkeys(((w("a"),), (w("t"),), ctx.a_images[0])))
+    return ctx, tuple(dict.fromkeys((w("a"), w("t"), ctx.a_images[0])))
 
 
 @st.composite
@@ -463,6 +463,61 @@ def test_pair_quotient_ball_matches_per_pair_oracle(case):
                                 margin=margin)
     assert ball_fields(got) == ball_fields(want)
     assert got.to_json() == want.to_json()
+
+
+@st.composite
+def union_sequences(draw):
+    n = draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pair, max_size=60)), draw(st.integers(0, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_sequences())
+def test_union_find_classes_match_sorted_grouping(case):
+    n, unions, split = case
+    uf = UnionFind(n)
+    for x, y in unions[:split]:
+        uf.union(x, y)
+    uf.union_all(iter(unions[split:]))
+    want = oracle_finish("K", 0, list(range(n)), uf, [0] * n, 0, False)
+    assert uf.classes() == (want.class_of, want.classes)
+    # and the classes are the connected components of the unions
+    comp = {i: {i} for i in range(n)}
+    for x, y in unions:
+        merged = comp[x] | comp[y]
+        for v in merged:
+            comp[v] = merged
+    assert want.classes == sorted(sorted(c) for c in
+                                  {min(c): c for c in comp.values()}.values())
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("e", [1, 8, 15])
+@pytest.mark.parametrize("k", [2, 3])
+def test_pair_quotient_ball_budget_cut(k, e, shift, twisted):
+    # a budget of e*k - 1, e*k or e*k + 1 moves stops inside, at or just
+    # past the generator list of pair e; the ball of radius 2 has 49 pairs
+    ctx, gens = ball_context("otto_pride", 2, 1)
+    k_gens = gens[:k]
+    assert len(set(k_gens)) == k
+    twist = ({g: gens[(i + 1) % len(gens)] for i, g in enumerate(k_gens)}
+             if twisted else None)
+    alphabet, budget = ctx.presentation.alphabet, e * k + shift
+    got = pair_quotient_ball(ctx.solver, alphabet, k_gens, 2, budget,
+                             margin=1, twist=twist)
+    want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, 2,
+                                     budget, margin=1, twist=twist)
+    assert len(got.pairs) == 49 and got.truncated
+    assert ball_fields(got) == ball_fields(want)
+
+
+def test_quotient_core_rejects_negative_margin(octx):
+    alphabet = octx.presentation.alphabet
+    for build in (quotient_ball, pair_quotient_ball):
+        with pytest.raises(ConstructionError):
+            build(octx.solver, alphabet, [w("a")], 2, margin=-1)
 
 
 # ---------------------------------------------------------------------------
