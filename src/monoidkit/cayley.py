@@ -240,12 +240,16 @@ def check_unique_entrance(g: LabeledDigraph, rep: CondensationReport,
     exactly one arc from outside; with a units analysis supplied, that
     arc must land on the transversal element of the component."""
     comp_of = rep._comp_of
+    entering_arcs = {}      # component -> the arcs entering it, in order
+    for arc in g.arcs:
+        s, d, _ = arc
+        if comp_of[s] != comp_of[d]:
+            entering_arcs.setdefault(comp_of[d], []).append(arc)
     violations = []
     for ci in rep.interior_sccs():
         if ci == rep.root_scc:
             continue
-        entering = [(s, d, a) for s, d, a in g.arcs
-                    if comp_of[d] == ci and comp_of[s] != ci]
+        entering = entering_arcs.get(ci, [])
         if len(entering) != 1:
             violations.append({
                 "kind": "entrance_count", "scc": ci,

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii
 from .words import (
     WordError,
     format_word,
+    json_checked,
     parse_presentation,
     parse_word_tokens,
     presentation_from_json,
@@ -143,7 +144,7 @@ def _load_presentation(path, order=None):
 
 
 def _word(s):
-    return parse_word_tokens(s.split())
+    return parse_word_tokens(json_checked(s, str, "a word").split())
 
 
 def _unknowns(*verdicts):
@@ -194,6 +195,10 @@ def _hnn_spec(data):
 
 SPEC_READERS = {"free-product": _free_product_spec, "amalgam": _amalgam_spec,
                 "otto-pride": _op_spec, "hnn": _hnn_spec}
+# the JSON type of each spec field that is no presentation (words are
+# strings, checked by _word)
+SPEC_FIELDS = {"a_gens": list, "b_gens": list, "free_basis": list,
+               "phi": dict, "f1": dict, "f2": dict, "stable_letter": str}
 
 
 def _load_spec(args):
@@ -201,11 +206,13 @@ def _load_spec(args):
     another kind is an input error; one that names none is taken as
     --kind."""
     with open(args.spec) as f:
-        data = json.load(f)
+        data = json_checked(json.load(f), dict, "a spec file")
     kind = data.get("kind", args.kind)
     if kind != args.kind:
         raise ConstructionError(
             f"spec file kind {kind!r} does not match --kind {args.kind!r}")
+    for key, shape in SPEC_FIELDS.items():   # an absent field is fine
+        json_checked(data.get(key, shape()), shape, key)
     return SPEC_READERS[kind](data)
 
 

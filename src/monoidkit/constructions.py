@@ -940,8 +940,8 @@ def check_beta_section(g: BassSerreGraph, d: DerivationSpec) -> dict:
                 for cid, coeff in tv.ze.items():
                     _ze_add(diff, cid, -coeff)
                 if diff != {e.class_id: 1}:
-                    failures.append({
+                    failures.append({   # artifact keys are strings
                         "kind": "beta_section", "edge_class": e.class_id,
-                        "difference": diff})
+                        "difference": {str(k): c for k, c in diff.items()}})
     return {"checked": checked, "failures": failures, "skipped": skipped,
             "passed": not failures}

@@ -5,7 +5,8 @@ The reduction order is always shortlex over the alphabet order.  All
 searches are budgeted; one rule application or one critical-pair join
 attempt costs one step, so results are machine independent.  Rewriting,
 critical pairs, interreduction and irreducible words all look redexes up
-in one trie over the rule left sides, built once per RewriteSystem.
+in one trie over the rule left sides, built once per RewriteSystem;
+completion runs on the system, and so the trie, that interreduction made.
 """
 
 from __future__ import annotations
@@ -124,19 +125,6 @@ class _Index:
                 return pos, hit
         return None
 
-    def ends_in_redex(self, w: Word) -> bool:
-        """Whether some lhs is a suffix of w."""
-        for pos in range(max(0, len(w) - self.longest), len(w)):
-            node = self.root
-            for a in w[pos:]:
-                node = node[0].get(a)
-                if node is None:
-                    break
-            else:
-                if node[1]:
-                    return True
-        return False
-
 
 @dataclass
 class Verdict:
@@ -166,6 +154,13 @@ class CompletionResult:
     steps: int
 
 
+def _rule(alphabet: Alphabet, u: Word, v: Word) -> RewriteRule:
+    """u = v as a shortlex-decreasing rule."""
+    if alphabet.shortlex_less(u, v):
+        return RewriteRule(v, u)
+    return RewriteRule(u, v)
+
+
 def orient_system(source, alphabet: Alphabet = None) -> RewriteSystem:
     """Orient a presentation (or raw rule list) into shortlex-decreasing rules."""
     if isinstance(source, Presentation):
@@ -173,25 +168,20 @@ def orient_system(source, alphabet: Alphabet = None) -> RewriteSystem:
         pairs = list(source.relations)
     else:
         pairs = [(r.lhs, r.rhs) for r in source]
-    rules = []
-    for u, v in pairs:
-        if u == v:
-            continue
-        if alphabet.shortlex_less(u, v):
-            u, v = v, u
-        rules.append(RewriteRule(u, v))
-    return RewriteSystem(alphabet, tuple(rules), ORIENTED)
+    rules = tuple(_rule(alphabet, u, v) for u, v in pairs if u != v)
+    return RewriteSystem(alphabet, rules, ORIENTED)
 
 
 def _rewrite(s: RewriteSystem, w: Word, budget: Budget = None,
-             trace: list = None) -> Word:
+             trace: list = None, skip=None) -> Word:
     """Rewrite the leftmost redex, lowest rule index first, to a fixed point,
-    one budget step per rewrite; each new word is appended to trace."""
+    one budget step per rewrite, never applying rule skip; each new word is
+    appended to trace."""
     index = s._index
     back = index.longest - 1
     pos = 0
     while True:
-        hit = index.leftmost(w, pos)
+        hit = index.leftmost(w, pos, skip)
         if hit is None:
             return w
         pos, ri = hit
@@ -272,39 +262,29 @@ def critical_pairs(s: RewriteSystem):
             yield left, right, (kind, i, j, p)
 
 
-def _interreduce(alphabet: Alphabet, rules):
-    """Canonical interreduced rule set: no lhs/rhs reducible by another rule."""
+def _interreduce(alphabet: Alphabet, rules) -> RewriteSystem:
+    """Canonical interreduced rule set: no lhs/rhs reducible by another rule.
+
+    Each round indexes the sorted rules once and reduces the first reducible
+    rule through that index, skipping the rule itself (which keeps the order
+    of the others); the system of the round that changes nothing is
+    returned, its index ready for completion."""
     work = list(rules)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
-        index = _Index(work)
+        system = RewriteSystem(alphabet, tuple(work), ORIENTED)
         for idx, rule in enumerate(work):
-            if (index.leftmost(rule.lhs, skip=idx) is None
-                    and index.leftmost(rule.rhs, skip=idx) is None):
+            lhs = _rewrite(system, rule.lhs, skip=idx)
+            rhs = _rewrite(system, rule.rhs, skip=idx)
+            if lhs == rule.lhs and rhs == rule.rhs:
                 continue
-            others = RewriteSystem(
-                alphabet, tuple(work[:idx] + work[idx + 1:]), ORIENTED)
-            lhs = normalize(others, rule.lhs)
-            rhs = normalize(others, rule.rhs)
             del work[idx]
-            if lhs != rhs:
-                if alphabet.shortlex_less(lhs, rhs):
-                    lhs, rhs = rhs, lhs
-                new_rule = RewriteRule(lhs, rhs)
-                if new_rule not in work:
-                    work.append(new_rule)
-            changed = True
+            new_rule = _rule(alphabet, lhs, rhs)
+            if lhs != rhs and new_rule not in work:
+                work.append(new_rule)
             break
-    work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
-    # dedupe while preserving the sort
-    seen, final = set(), []
-    for r in work:
-        if r not in seen:
-            seen.add(r)
-            final.append(r)
-    return final
+        else:
+            return system
 
 
 def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionResult:
@@ -313,32 +293,26 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
     s.require_oriented()
     budget = Budget(budget_limit)
     alphabet = s.alphabet
-    rules = _interreduce(alphabet, s.rules)
-
-    while True:
-        current = RewriteSystem(alphabet, tuple(rules), ORIENTED)
-        for left, right, _prov in critical_pairs(current):
-            if not budget.spend():  # join attempt
-                return CompletionResult(
-                    RewriteSystem(alphabet, tuple(rules), PARTIAL),
-                    False, budget.spent)
-            try:
+    current = _interreduce(alphabet, s.rules)
+    try:
+        while True:
+            for left, right, _prov in critical_pairs(current):
+                if not budget.spend():  # join attempt
+                    raise BudgetExhausted(current)
                 u = normalize(current, left, budget)
                 v = normalize(current, right, budget)
-            except BudgetExhausted:
+                if u != v:
+                    break
+            else:
                 return CompletionResult(
-                    RewriteSystem(alphabet, tuple(rules), PARTIAL),
-                    False, budget.spent)
-            if u == v:
-                continue
-            if alphabet.shortlex_less(u, v):
-                u, v = v, u
-            rules = _interreduce(alphabet, rules + [RewriteRule(u, v)])
-            break
-        else:
-            return CompletionResult(
-                RewriteSystem(alphabet, tuple(rules), COMPLETE),
-                True, budget.spent)
+                    RewriteSystem(alphabet, current.rules, COMPLETE),
+                    True, budget.spent)
+            current = _interreduce(
+                alphabet, current.rules + (_rule(alphabet, u, v),))
+    except BudgetExhausted:
+        return CompletionResult(
+            RewriteSystem(alphabet, current.rules, PARTIAL),
+            False, budget.spent)
 
 
 def _ball_with_parents(p: Presentation, w: Word, max_len: int, budget: Budget):
@@ -423,6 +397,8 @@ def irreducible_words(s: RewriteSystem, max_len: int):
     for n in range(max_len + 1):
         if n:
             longer = (u + (a,) for u in level for a in s.alphabet.order)
-            level = [v for v in longer if not index.ends_in_redex(v)]
+            # u is irreducible, so any redex of v ends at its last letter
+            level = [v for v in longer
+                     if index.leftmost(v, max(0, n - index.longest)) is None]
         out.extend(level)
     return out

@@ -69,6 +69,8 @@ class Alphabet:
             object.__setattr__(self, "order", self.letters)
         seen = set()
         for a in self.letters:
+            if not isinstance(a, str):
+                raise WordError(f"letter {a!r} is not a string")
             if a in seen:
                 raise DuplicateLetterError(a)
             seen.add(a)
@@ -90,7 +92,7 @@ class Alphabet:
 
     def check_word(self, w: Word, line=None):
         for a in w:
-            if a not in self._rank:
+            if not isinstance(a, str) or a not in self._rank:
                 raise UnknownLetterError(a, line)
 
     def words_of_length(self, n: int):
@@ -197,20 +199,29 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
+def json_checked(value, kind, what):
+    """value if it is a kind (dict, list or str), else a WordError."""
+    if not isinstance(value, kind):
+        raise WordError(f"{what} must be a JSON {kind.__name__}")
+    return value
+
+
 def presentation_from_json(data: dict, name=None) -> Presentation:
     """Read ``{"letters": [...], "relations": [{"lhs": ..., "rhs": ...}]}``.
 
     A side is a list of letters or a space-separated string, ``1`` for the
     empty word; missing ``relations`` means none.
     """
-    alphabet = Alphabet(tuple(data["letters"]))
+    json_checked(data, dict, "a presentation")
+    alphabet = Alphabet(tuple(json_checked(data["letters"], list, "letters")))
 
     def side(s):
-        return parse_word_tokens(s.split() if isinstance(s, str) else s,
-                                 alphabet)
+        return parse_word_tokens(s.split() if isinstance(s, str) else
+                                 json_checked(s, list, "a side"), alphabet)
 
-    relations = tuple((side(r["lhs"]), side(r["rhs"]))
-                      for r in data.get("relations", ()))
+    relations = tuple(
+        (side(json_checked(r, dict, "a relation")["lhs"]), side(r["rhs"]))
+        for r in json_checked(data.get("relations", []), list, "relations"))
     return Presentation(alphabet, relations, name)
 
 

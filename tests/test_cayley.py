@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoidkit.words import EMPTY, parse_presentation, validate_special
 from monoidkit.rewriting import knuth_bendix, normalize, orient_system
 from monoidkit.special import compute_delta, normalize_special
 from monoidkit.cayley import (
     CayleyError,
+    LabeledDigraph,
     cayley_ball,
     cayley_complex_chain,
     check_rooted_tree,
@@ -137,6 +139,46 @@ def test_unique_entrance_free_monoid():
     g = ball_for(FREE, 3)
     rep = scc_condense(g)
     assert check_unique_entrance(g, rep) == []
+
+
+def oracle_unique_entrance(g, rep):
+    """The scan the grouped pass replaced: every arc once per component."""
+    comp_of = rep._comp_of
+    violations = []
+    for ci in rep.interior_sccs():
+        if ci == rep.root_scc:
+            continue
+        entering = [(s, d, a) for s, d, a in g.arcs
+                    if comp_of[d] == ci and comp_of[s] != ci]
+        if len(entering) != 1:
+            violations.append({
+                "kind": "entrance_count", "scc": ci,
+                "count": len(entering),
+                "arcs": [[s, d, a] for s, d, a in entering],
+            })
+    return violations
+
+
+@st.composite
+def digraphs(draw):
+    """Vertex 0 as the root, arcs in any order (parallel arcs and loops
+    included), depths up to the radius."""
+    n = draw(st.integers(1, 10))
+    radius = draw(st.integers(0, 3))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from("ab")),
+                         max_size=30))
+    depth = [0] + draw(st.lists(st.integers(0, radius), min_size=n - 1,
+                                max_size=n - 1))
+    return LabeledDigraph(FREE.alphabet, [()] * n, arcs, [True] * n, depth,
+                          radius, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_unique_entrance_matches_per_component_scan(g):
+    rep = scc_condense(g)
+    assert check_unique_entrance(g, rep) == oracle_unique_entrance(g, rep)
 
 
 def test_hasse_tree_bicyclic():

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidkit import cli
+from monoidkit import cli, constructions
 from monoidkit.cli import main
 
 BICYCLIC = "letters: a b\nrel: a b = 1\n"
@@ -264,6 +264,33 @@ def test_spec_kind_mismatch(capsys, tmp_path, command, kind, spec):
     assert "does not match --kind" in diag["detail"]
 
 
+@pytest.mark.parametrize("command", ["construct", "bass-serre"])
+@pytest.mark.parametrize("kind, spec", [
+    ("amalgam", dict(AMALGAM_SPEC, m1={"letters": 5})),
+    ("amalgam", dict(AMALGAM_SPEC, m1={"letters": ["x", 5]})),
+    ("otto-pride", [1, 2]),
+    ("otto-pride", dict(OP_SPEC, m={"letters": ["a"], "relations": [
+        {"lhs": 5, "rhs": "1"}]})),
+    ("otto-pride", dict(OP_SPEC, m={"letters": ["a"], "relations": [
+        {"lhs": ["a", ["a"]], "rhs": "1"}]})),
+    ("otto-pride", dict(OP_SPEC, m={"letters": ["a"], "relations": [5]})),
+    ("otto-pride", dict(OP_SPEC, a_gens=[["a", "a"]])),
+    ("otto-pride", dict(OP_SPEC, phi=[["a a", "a"]])),
+    ("otto-pride", dict(OP_SPEC, stable_letter=5)),
+])
+def test_malformed_spec_is_input_error(capsys, tmp_path, command, kind,
+                                       spec):
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    argv = [command, "--kind", kind, "--spec", str(f)]
+    assert main(argv + (["--radius", "3"] if command == "bass-serre"
+                        else [])) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["kind"] == "input_error"
+    assert diag["error"] in ("WordError", "UnknownLetterError",
+                             "ConstructionError")
+
+
 def test_construct_otto_pride(capsys, op_spec_file):
     code, data = run_json(capsys, "construct", "--kind", "otto-pride",
                           "--spec", op_spec_file)
@@ -349,6 +376,28 @@ def test_verify_derivations_forest(capsys, op_spec_file):
                           "--forest", "--margin", "2", "--samples", "100")
     assert code == 0
     assert data["beta"]["checked"] >= 5
+
+
+def test_verify_derivations_reports_failed_beta_section(
+        capsys, tmp_path, monkeypatch, op_spec_file):
+    # d(t) = 2.[1]_A: beta(head) - beta(tail) is twice every edge class
+    def doubled(ctx, edge_ball):
+        images = {a: [] for a in ctx.spec.m.alphabet.letters}
+        images[ctx.spec.stable_letter] = [(2, ())]
+        return constructions._left_derivation(ctx, images, edge_ball)
+
+    monkeypatch.setattr(cli, "op_derivation", doubled)
+    out = tmp_path / "beta.json"
+    assert main(["verify-derivations", "--kind", "otto-pride", "--spec",
+                 op_spec_file, "--radius", "4", "--samples", "20",
+                 "--out", str(out)]) == 1
+    text = out.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    failures = data["beta"]["failures"]
+    assert failures and not data["beta"]["passed"]
+    for f in failures:
+        assert f["difference"] == {str(f["edge_class"]): 2}
 
 
 @pytest.mark.parametrize("kind, spec", [("amalgam", AMALGAM_SPEC),
