@@ -2,13 +2,17 @@
 core for rank, kernel vectors and Smith normal form, boundary-injectivity
 certificates, and homology of finite chain complexes.
 
-All arithmetic uses Python's arbitrary-precision integers; nothing here
-can overflow or round.
+The elimination core takes its Markowitz-ordered pivots from a lazy
+min-heap rather than a scan over every non-zero, so the pivot order is
+the scan's and the cost stays near-linear on Cayley complexes, where
+almost every pivot is a unit.  All arithmetic uses Python's
+arbitrary-precision integers; nothing here can overflow or round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -57,10 +61,12 @@ class SparseIntMatrix:
         by_row = {}
         for (r, k), v in other.entries.items():
             by_row.setdefault(r, []).append((k, v))
-        out = SparseIntMatrix(self.rows, other.cols)
+        sums = {}
         for (r, c), v in self.entries.items():
             for k, u in by_row.get(c, ()):
-                out.add_at(r, k, v * u)
+                sums[r, k] = sums.get((r, k), 0) + v * u
+        out = SparseIntMatrix(self.rows, other.cols)
+        out.entries = {rk: v for rk, v in sums.items() if v}
         return out
 
     def is_zero(self):
@@ -122,14 +128,27 @@ def _eliminate(m: SparseIntMatrix, _record=False):
     d1 | d2 | ..., the pivot columns and, with _record, the column
     transform T (a dict of sparse columns) such that U @ m @ T is the
     reduced matrix for some unimodular U.
+
+    Pivots come from a lazy min-heap of keys (|v|, cost, row, col).  An
+    entry's key changes only through a write to its row or its column, and
+    every write marks both dirty; before each pick the current key of every
+    entry in a dirty row or column is pushed.  So every live entry has its
+    current key in the heap, and the first key on top that still matches a
+    live entry (same |v|, same cost) is the least key of all live entries:
+    the pivot a scan of every non-zero would pick.  Keys that no longer
+    match are popped and dropped, and once the heap has grown to twice its
+    size at its last build it is rebuilt from the live entries alone.
     """
     rows, cols = {}, {}
     for (r, c), v in m.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, {})[r] = v
     transform = {c: {c: 1} for c in range(m.cols)} if _record else None
+    dirty_rows, dirty_cols = set(), set()
 
     def put(r, c, v):
+        dirty_rows.add(r)
+        dirty_cols.add(c)
         if v:
             rows.setdefault(r, {})[c] = cols.setdefault(c, {})[r] = v
             return
@@ -159,11 +178,32 @@ def _eliminate(m: SparseIntMatrix, _record=False):
                         del col[i]
         return len(rows[p]) > 1 or len(cols[q]) > 1
 
+    def live_keys(pairs):
+        return [(abs(rows[r][c]), (len(rows[r]) - 1) * (len(cols[c]) - 1),
+                 r, c) for r, c in pairs]
+
+    heap, rebuild_at = [], -1  # built from the live entries on entry
     diag, pivot_cols = [], []
     while rows:
-        _, _, p, q = min(
-            (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
-            for r, row in rows.items() for c, v in row.items())
+        if len(heap) > rebuild_at:
+            heap = live_keys((r, c) for r, row in rows.items() for c in row)
+            heapify(heap)
+            rebuild_at = 2 * len(heap)
+        else:
+            fresh = {(r, c) for r in dirty_rows if r in rows for c in rows[r]}
+            fresh.update((r, c) for c in dirty_cols if c in cols
+                         for r in cols[c])
+            for key in live_keys(fresh):
+                heappush(heap, key)
+        dirty_rows.clear()
+        dirty_cols.clear()
+        while True:
+            size, cost, p, q = heap[0]
+            row = rows.get(p)
+            if (row is not None and q in row and abs(row[q]) == size
+                    and (len(row) - 1) * (len(cols[q]) - 1) == cost):
+                break
+            heappop(heap)  # stale: the entry changed or is gone
         if clear(p, q):
             continue  # a smaller entry appeared; pick again
         d = rows[p][q]
@@ -294,9 +334,9 @@ def _exactness(maps, ranks, augmentation):
 
 def _homology_and_exactness(boundaries, augmentation):
     """chain_homology(boundaries) and exactness_check(boundaries[::-1],
-    augmentation), with one elimination per boundary for both."""
-    _require_zero_composites(
-        boundaries[::-1], "consecutive boundary maps do not compose to zero")
+    augmentation), with one elimination per boundary for both.  The
+    boundaries must already compose to zero, as cayley_complex_chain
+    checks; only the augmentation's composite is checked here."""
     maps = boundaries[::-1] + [augmentation]
     _require_zero_composites(maps[-2:], "consecutive composite is non-zero")
     forms = [smith_normal_form(b) for b in boundaries]

@@ -5,8 +5,9 @@ The reduction order is always shortlex over the alphabet order.  All
 searches are budgeted; one rule application or one critical-pair join
 attempt costs one step, so results are machine independent.  Rewriting,
 critical pairs, interreduction and irreducible words all look redexes up
-in one trie over the rule left sides, built once per RewriteSystem;
-completion runs on the system, and so the trie, that interreduction made.
+in one trie over the rule left sides, built once per rule set;
+completion runs on the system, and so the trie, that interreduction made,
+and its result shares that trie.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class RewriteSystem:
     @cached_property
     def _index(self):
         return _Index(self.rules)
+
+    def with_status(self, status: str) -> "RewriteSystem":
+        """The same rules under another status, sharing this system's trie."""
+        out = RewriteSystem(self.alphabet, self.rules, status)
+        out.__dict__["_index"] = self._index  # where cached_property keeps it
+        return out
 
 
 class _Index:
@@ -305,14 +312,12 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
                     break
             else:
                 return CompletionResult(
-                    RewriteSystem(alphabet, current.rules, COMPLETE),
-                    True, budget.spent)
+                    current.with_status(COMPLETE), True, budget.spent)
             current = _interreduce(
                 alphabet, current.rules + (_rule(alphabet, u, v),))
     except BudgetExhausted:
         return CompletionResult(
-            RewriteSystem(alphabet, current.rules, PARTIAL),
-            False, budget.spent)
+            current.with_status(PARTIAL), False, budget.spent)
 
 
 def _ball_with_parents(p: Presentation, w: Word, max_len: int, budget: Budget):

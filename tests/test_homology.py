@@ -1,15 +1,18 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from math import gcd
 
+from monoidkit import homology
 from monoidkit.cayley import cayley_ball, cayley_complex_chain
+from monoidkit.cli import main
 from monoidkit.constructions import completed_solver
 from monoidkit.words import parse_presentation, validate_special
 from monoidkit.homology import (
     CompositeNotZeroError,
     SparseIntMatrix,
+    _eliminate,
     chain_homology,
     check_boundary_injective,
     exactness_check,
@@ -120,6 +123,83 @@ def oracle_smith_dense(m: SparseIntMatrix) -> tuple:
         if top == rows or top == cols:
             break
     return tuple(diag)
+
+
+# Test-only oracle for the pivot heap: the elimination core as it was
+# when each pivot was found by a scan over every remaining non-zero.
+
+
+def oracle_eliminate_scan(m: SparseIntMatrix, _record=False):
+    """Sparse integer elimination to Smith normal form.
+
+    Each step takes the non-zero of smallest absolute value as pivot (ties:
+    least Markowitz cost (r-1)(c-1) from the counts r, c of non-zeros in its
+    row and column, then smallest (row, col)), clears its column by row
+    operations and its row by column operations, and picks again if a
+    remainder is left.  An isolated pivot that does not divide every other
+    entry gets the offending row added to its own row and is cleared again.
+    Unit pivots come first, so tree edges of a Cayley complex contract
+    without a separate collapse.  Returns the invariant factors
+    d1 | d2 | ..., the pivot columns and, with _record, the column
+    transform T (a dict of sparse columns) such that U @ m @ T is the
+    reduced matrix for some unimodular U.
+    """
+    rows, cols = {}, {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = v
+    transform = {c: {c: 1} for c in range(m.cols)} if _record else None
+
+    def put(r, c, v):
+        if v:
+            rows.setdefault(r, {})[c] = cols.setdefault(c, {})[r] = v
+            return
+        del rows[r][c], cols[c][r]
+        if not rows[r]:
+            del rows[r]
+        if not cols[c]:
+            del cols[c]
+
+    def add_row(dst, src, f):  # row dst += f * row src
+        for c, v in list(rows[src].items()):
+            put(dst, c, rows.get(dst, {}).get(c, 0) + f * v)
+
+    def clear(p, q):
+        d = rows[p][q]
+        for r in [r for r in cols[q] if r != p]:
+            add_row(r, p, -(cols[q][r] // d))
+        for c in [c for c in rows[p] if c != q]:
+            f = -(rows[p][c] // d)
+            for r, v in list(cols[q].items()):
+                put(r, c, cols.get(c, {}).get(r, 0) + f * v)
+            if transform is not None:
+                col = transform[c]
+                for i, v in transform[q].items():
+                    col[i] = col.get(i, 0) + f * v
+                    if not col[i]:
+                        del col[i]
+        return len(rows[p]) > 1 or len(cols[q]) > 1
+
+    diag, pivot_cols = [], []
+    while rows:
+        _, _, p, q = min(
+            (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+            for r, row in rows.items() for c, v in row.items())
+        if clear(p, q):
+            continue  # a smaller entry appeared; pick again
+        d = rows[p][q]
+        offender = None
+        if abs(d) > 1:
+            offender = next((r for r, row in rows.items()
+                             if any(v % d for v in row.values())), None)
+        if offender is not None:
+            add_row(p, offender, 1)
+            clear(p, q)  # leaves a remainder smaller than |d|
+            continue
+        put(p, q, 0)
+        diag.append(abs(d))
+        pivot_cols.append(q)
+    return tuple(diag), pivot_cols, transform
 
 
 def determinantal_divisors(dense, rows, cols):
@@ -254,6 +334,18 @@ def test_chain_homology_rejects_bad_composite():
         chain_homology([M([[1]]), M([[1]])])
 
 
+def test_both_entry_points_reject_a_non_complex():
+    # d1 @ d2 = [[1]] != 0: not a chain complex, whichever way it is read
+    d1, d2 = M([[1, 0]]), M([[1], [0]])
+    with pytest.raises(CompositeNotZeroError):
+        chain_homology([d1, d2])
+    with pytest.raises(CompositeNotZeroError):
+        exactness_check([d2, d1])
+    # the composite into the augmentation is checked too
+    with pytest.raises(CompositeNotZeroError):
+        exactness_check([M([[1]])], augmentation=M([[1]]))
+
+
 def test_exactness_check_exact_pair():
     # Z -2-> Z -0-> Z/... not expressible; use free example:
     # 0 exact slot: C2=Z --(1,0)^T--> C1=Z^2 --(0,1)--> C0=Z
@@ -340,3 +432,30 @@ def test_smith_matches_sympy_on_cayley_boundaries(relator, radius):
             sympy.Matrix(_to_dense(m)), domain=sympy.ZZ) if d)
         assert smith_normal_form(m).diag == want
         assert rank_exact(m) == len(want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_matrices())
+@example(M([[2, 3]]))            # a remainder: 3 - 2 = 1 is picked next
+@example(M([[2, 0], [0, 3]]))    # an offender: 2 does not divide 3
+@example(M([[4, 6, 0], [6, 9, 2], [0, 2, 5]]))
+def test_pivot_heap_matches_scan_oracle(m):
+    """The heap picks the scan's pivots in the scan's order: same invariant
+    factors, same pivot columns and the same column transform."""
+    assert _eliminate(m, _record=True) == oracle_eliminate_scan(m, _record=True)
+    assert _eliminate(m) == oracle_eliminate_scan(m)
+
+
+@pytest.mark.parametrize("relator,radius", [
+    ("ab", 30), ("abab", 8), ("aab", 9), ("aaaaa", 20)])
+def test_homology_artifact_unchanged_by_pivot_heap(
+        relator, radius, tmp_path, capsys, monkeypatch):
+    f = tmp_path / "p.txt"
+    f.write_text(f"letters: {' '.join(sorted(set(relator)))}\n"
+                 f"rel: {' '.join(relator)} = 1\n")
+    argv = ["homology", "--presentation", str(f), "--radius", str(radius)]
+    heap_rc = main(argv)
+    heap_out = capsys.readouterr().out
+    monkeypatch.setattr(homology, "_eliminate", oracle_eliminate_scan)
+    assert main(argv) == heap_rc
+    assert capsys.readouterr().out == heap_out

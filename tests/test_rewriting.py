@@ -423,3 +423,44 @@ def test_equal_words_witness_is_both_traces():
     with pytest.raises(BudgetExhausted) as e:
         equal_words(s, u, v, budget_limit=3)
     assert e.value.partial == w("ab")
+
+
+def test_one_trie_per_cayley_homology_job(tmp_path, monkeypatch):
+    """A completion result shares the trie of the system it completed, so one
+    round of the cayley-homology benchmark workload (44 jobs, each completing
+    a one-relator presentation once) builds one trie per job, not two."""
+    import os
+
+    from monoidkit import rewriting
+
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import workloads
+
+    jobs = workloads.build("cayley-homology", 1, str(tmp_path))
+    builds = []
+    init = rewriting._Index.__init__
+
+    def counting_init(self, rules):
+        builds.append(len(rules))
+        init(self, rules)
+
+    monkeypatch.setattr(rewriting._Index, "__init__", counting_init)
+    for job in jobs:
+        assert job.run()[0] == 0
+    assert len(jobs) == 44
+    assert len(builds) == 44
+
+
+def test_completion_result_keeps_the_trie():
+    done = knuth_bendix(orient_system(BICYCLIC))
+    partial = knuth_bendix(orient_system(
+        parse_presentation("letters: a b\nrel: a b a = b a b")), 50)
+    for result, status in ((done, COMPLETE), (partial, PARTIAL)):
+        assert result.system.status == status
+        assert "_index" in vars(result.system)
+        again = RewriteSystem(result.system.alphabet, result.system.rules,
+                              status)
+        assert again == result.system
+        for w in [(), ("b", "a", "b"), ("a", "b", "a", "b", "b")]:
+            assert normalize(result.system, w) == normalize(again, w)
