@@ -18,6 +18,7 @@ from .words import (
     WordError,
     format_word,
     json_checked,
+    json_field,
     parse_presentation,
     parse_word_tokens,
     presentation_from_json,
@@ -51,10 +52,7 @@ from .cayley import (
     default_margin,
     scc_condense,
 )
-from .homology import (
-    HomologyError,
-    _homology_and_exactness,
-)
+from .homology import HomologyError, _exactness, chain_homology
 from .constructions import (
     AmalgamSpec,
     ConstructionError,
@@ -82,9 +80,10 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# what a bad input raises; any other exception is a bug and not exit 2
 INPUT_ERRORS = (WordError, RewritingError, CayleyError, HomologyError,
                 SpecialAnalysisError, ConstructionError, OSError,
-                json.JSONDecodeError, KeyError, ValueError)
+                json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _diag(kind, **details):
@@ -160,37 +159,39 @@ def _unknowns(*verdicts):
 # construction spec files
 
 
+def _words(data, key):
+    return tuple(_word(g) for g in json_field(data, key))
+
+
+def _word_map(data, key, read_key=_word):
+    return {read_key(k): _word(v) for k, v in json_field(data, key).items()}
+
+
 def _free_product_spec(data):
-    return (presentation_from_json(data["m1"]),
-            presentation_from_json(data["m2"]))
+    return (presentation_from_json(json_field(data, "m1")),
+            presentation_from_json(json_field(data, "m2")))
 
 
 def _amalgam_spec(data):
-    return AmalgamSpec(
-        presentation_from_json(data["m1"]),
-        presentation_from_json(data["m2"]),
-        presentation_from_json(data["w"]),
-        {x: _word(img) for x, img in data["f1"].items()},
-        {x: _word(img) for x, img in data["f2"].items()})
+    return AmalgamSpec(*_free_product_spec(data),
+                       presentation_from_json(json_field(data, "w")),
+                       _word_map(data, "f1", str), _word_map(data, "f2", str))
 
 
 def _op_spec(data):
     basis = data.get("free_basis")
     return OttoPrideSpec(
-        presentation_from_json(data["m"]),
-        tuple(_word(g) for g in data["a_gens"]),
-        {_word(g): _word(img) for g, img in data["phi"].items()},
+        presentation_from_json(json_field(data, "m")),
+        _words(data, "a_gens"), _word_map(data, "phi"),
         free_basis=tuple(_word(c) for c in basis) if basis else None,
         stable_letter=data.get("stable_letter", "t"))
 
 
 def _hnn_spec(data):
     """The arguments of hnn_presentation, in order."""
-    return (presentation_from_json(data["m"]),
-            tuple(_word(g) for g in data["a_gens"]),
-            tuple(_word(g) for g in data["b_gens"]),
-            {_word(g): _word(img) for g, img in data["phi"].items()},
-            data.get("stable_letter", "t"))
+    return (presentation_from_json(json_field(data, "m")),
+            _words(data, "a_gens"), _words(data, "b_gens"),
+            _word_map(data, "phi"), data.get("stable_letter", "t"))
 
 
 SPEC_READERS = {"free-product": _free_product_spec, "amalgam": _amalgam_spec,
@@ -315,15 +316,15 @@ def cmd_analyze_special(args):
     return EXIT_OK
 
 
-def _ball_from_args(args, p):
+def _ball_from_args(args, p, margin=None):
     solver, _ = completed_solver(p, args.budget)
-    margin = args.margin if args.margin is not None else default_margin(p)
+    margin = margin if margin is not None else default_margin(p)
     return cayley_ball(solver, p.alphabet, args.radius, margin)
 
 
 def cmd_cayley(args):
     p = _load_presentation(args.presentation, args.order)
-    g = _ball_from_args(args, p)
+    g = _ball_from_args(args, p, args.margin)
     if args.format == "dot":
         _emit(args, g.to_dot())
     else:
@@ -429,7 +430,7 @@ def cmd_chain(args):
         "augmentation": export.augmentation.to_triplets(),
         "cell_base_vertices": list(export.cell_base_vertices),
         "skipped": export.skipped,
-        "composite_zero": True,  # cayley_complex_chain raises otherwise
+        "composite_zero": (export.boundary1 @ export.boundary2).is_zero(),
     })
     return EXIT_OK
 
@@ -438,8 +439,8 @@ def cmd_homology(args):
     sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
-    homology, exact = _homology_and_exactness(
-        [export.boundary1, export.boundary2], export.augmentation)
+    homology = chain_homology([export.boundary1, export.boundary2])
+    exact = _exactness(homology, export.boundary1, export.augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})
     if exact["total_defect"] != 0:
         return EXIT_VERIFY
@@ -506,7 +507,6 @@ def build_parser():
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         if radius:
             p.add_argument("--radius", type=_nonnegative, required=True)
-            p.add_argument("--margin", type=_nonnegative)
         if formats:
             p.add_argument("--format", choices=formats, default="json")
         if kinds:
@@ -524,7 +524,8 @@ def build_parser():
     p = add("analyze-special", cmd_analyze_special)
     p.add_argument("--emit", choices=("units", "right-units", "delta", "all"),
                    default="all")
-    add("cayley", cmd_cayley, radius=True, formats=("json", "dot"))
+    p = add("cayley", cmd_cayley, radius=True, formats=("json", "dot"))
+    p.add_argument("--margin", type=_nonnegative)
     add("condense", cmd_condense, radius=True)
     add("check-tree", cmd_check_tree, radius=True)
     add("construct", cmd_construct, source="--spec", order=False,
@@ -532,11 +533,13 @@ def build_parser():
     p = add("bass-serre", cmd_bass_serre, source="--spec", order=False,
             radius=True, formats=("json", "dot", "matrix"),
             kinds=bass_serre_kinds)
+    p.add_argument("--margin", type=_nonnegative)
     p.add_argument("--forest", action="store_true")
     add("chain", cmd_chain, radius=True)
     add("homology", cmd_homology, radius=True)
     p = add("verify-derivations", cmd_verify_derivations, source="--spec",
             order=False, radius=True, kinds=bass_serre_kinds)
+    p.add_argument("--margin", type=_nonnegative)
     p.add_argument("--forest", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from math import isqrt
 
 from .words import (
     EMPTY,
@@ -92,6 +93,11 @@ def amalgam_presentation(spec: AmalgamSpec,
     """Pushout presentation: both factors plus f1(x) = f2(x) per base
     generator.  The maps are checked against the base relations with the
     congruence oracle; Unknown outcomes are flagged, not fatal."""
+    for name, f, m in (("f1", spec.f1, spec.m1), ("f2", spec.f2, spec.m2)):
+        for x in spec.w.alphabet.letters:
+            if x not in f:
+                raise ConstructionError(f"{name} has no image of {x!r}")
+            m.alphabet.check_word(f[x])
     merged, map1, map2 = _disjoint_union(spec.m1, spec.m2)
 
     def image(f, m, x):
@@ -853,9 +859,13 @@ def op_forest_derivation(ctx: OPBallContext,
     images = {a: [] for a in ctx.spec.m.alphabet.letters}
     images[ctx.spec.stable_letter] = [(1, (EMPTY, EMPTY))]
 
+    # pair (x_i, y_j) has id i * n + j, so pairs 0..n-1 are the (x_0, y_j)
+    n = isqrt(len(edge_ball.elements))
+    ids = {y: j for j, (_, y) in enumerate(edge_ball.elements[:n])}
+
     def resolver(payload):
-        x, y = payload
-        return edge_ball.lookup((ctx.solver(x), ctx.solver(y)))
+        i, j = map(ids.get, map(ctx.solver, payload))
+        return None if None in (i, j) else edge_ball.class_of[i * n + j]
 
     return DerivationSpec(
         "bimodule", images, resolver, ctx.solver,

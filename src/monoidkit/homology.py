@@ -2,6 +2,9 @@
 core for rank, kernel vectors and Smith normal form, boundary-injectivity
 certificates, and homology of finite chain complexes.
 
+Exactness is read from homology: each defect is a Betti number of the
+complex augmented by its optional augmentation.
+
 The elimination core takes its Markowitz-ordered pivots from a lazy
 min-heap rather than a scan over every non-zero, so the pivot order is
 the scan's and the cost stays near-linear on Cayley complexes, where
@@ -266,11 +269,12 @@ def check_boundary_injective(m: SparseIntMatrix):
     return Verdict("refuted", [InjectivityCertificate(r, m.cols, ker)], 0)
 
 
-def _require_zero_composites(maps, message):
+def _require_zero_composites(maps):
     """maps run from the top degree down; each composite must vanish."""
     for upper, lower in zip(maps, maps[1:]):
         if not (lower @ upper).is_zero():
-            raise CompositeNotZeroError(message)
+            raise CompositeNotZeroError(
+                "consecutive maps do not compose to zero")
 
 
 def chain_homology(boundaries: list[SparseIntMatrix]):
@@ -280,66 +284,41 @@ def chain_homology(boundaries: list[SparseIntMatrix]):
     (rows = rank of C_i, cols = rank of C_{i+1}).  The top degree is
     len(boundaries).
     """
-    _require_zero_composites(
-        boundaries[::-1], "consecutive boundary maps do not compose to zero")
-    return _homology(boundaries, [smith_normal_form(b) for b in boundaries])
-
-
-def _homology(boundaries, forms):
-    dims = [b.rows for b in boundaries]
-    if boundaries:
-        dims.append(boundaries[-1].cols)
-    out = []
-    for i, dim in enumerate(dims):
-        rank_in = forms[i].rank if i < len(forms) else 0  # into C_i
-        rank_out = forms[i - 1].rank if i > 0 else 0      # out of C_i
-        betti = dim - rank_out - rank_in
-        torsion = forms[i].torsion() if i < len(forms) else ()
-        out.append({"degree": i, "betti": betti, "torsion": list(torsion)})
-    return out
+    _require_zero_composites(boundaries[::-1])
+    forms = [smith_normal_form(b) for b in boundaries]
+    dims = [b.rows for b in boundaries] + [b.cols for b in boundaries[-1:]]
+    ranks = [0] + [f.rank for f in forms] + [0]  # out of C_i, then into it
+    return [{"degree": i, "betti": dim - ranks[i] - ranks[i + 1],
+             "torsion": list(forms[i].torsion()) if i < len(forms) else []}
+            for i, dim in enumerate(dims)]
 
 
 def exactness_check(seq: list[SparseIntMatrix], augmentation: SparseIntMatrix = None):
     """Exactness defects of a finite truncation  C_k -> ... -> C_0 [-> Z].
 
-    seq lists boundary maps from the top degree down; each consecutive
-    composite must vanish.  Defects are reported at interior slots (the
-    codomain of each map except the last); the kernel dimension at the top
-    end is reported separately since a truncated complex makes no claim
-    there.
+    seq lists k >= 1 boundary maps from the top degree down; each
+    consecutive composite must vanish.  Defects are reported at interior
+    slots (the codomain of each map except the last); the kernel dimension
+    at the top end is reported separately since a truncated complex makes
+    no claim there.
     """
-    maps = list(seq)
-    if augmentation is not None:
-        maps.append(augmentation)
-    _require_zero_composites(maps, "consecutive composite is non-zero")
-    return _exactness(maps, [rank_exact(m) for m in maps], augmentation)
+    return _exactness(chain_homology(seq[::-1]), seq[-1], augmentation)
 
 
-def _exactness(maps, ranks, augmentation):
-    defects = []
-    for i in range(1, len(maps)):
-        nullity = maps[i].cols - ranks[i]
-        defects.append({"slot": i, "defect": nullity - ranks[i - 1]})
-    report = {
-        "defects": defects,
-        "total_defect": sum(d["defect"] for d in defects),
-        "left_kernel_dim": maps[0].cols - ranks[0],
-    }
+def _exactness(homology, last, augmentation):
+    """The exactness report read from chain_homology's list; last is the
+    map into the lowest degree, where the augmentation e starts.  An
+    interior slot's defect is its Betti number; e lowers the bottom one by
+    rank e and adds its cokernel."""
+    betti = [h["betti"] for h in reversed(homology)]
+    defects = [{"slot": i, "defect": betti[i]}
+               for i in range(1, len(betti) - 1)]
+    report = {"defects": defects, "left_kernel_dim": betti[0]}
+    cokernel = 0
     if augmentation is not None:
-        aug_defect = augmentation.rows - ranks[-1]
-        report["augmentation_defect"] = aug_defect
-        report["total_defect"] += aug_defect
+        _require_zero_composites([last, augmentation])
+        rank = rank_exact(augmentation)
+        defects.append({"slot": len(betti) - 1, "defect": betti[-1] - rank})
+        cokernel = report["augmentation_defect"] = augmentation.rows - rank
+    report["total_defect"] = sum(d["defect"] for d in defects) + cokernel
     return report
-
-
-def _homology_and_exactness(boundaries, augmentation):
-    """chain_homology(boundaries) and exactness_check(boundaries[::-1],
-    augmentation), with one elimination per boundary for both.  The
-    boundaries must already compose to zero, as cayley_complex_chain
-    checks; only the augmentation's composite is checked here."""
-    maps = boundaries[::-1] + [augmentation]
-    _require_zero_composites(maps[-2:], "consecutive composite is non-zero")
-    forms = [smith_normal_form(b) for b in boundaries]
-    ranks = [f.rank for f in reversed(forms)] + [rank_exact(augmentation)]
-    return (_homology(boundaries, forms),
-            _exactness(maps, ranks, augmentation))

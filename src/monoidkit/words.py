@@ -206,6 +206,13 @@ def json_checked(value, kind, what):
     return value
 
 
+def json_field(data, key, kind=object):
+    """data[key], which must be present and a kind, else a WordError."""
+    if key not in data:
+        raise WordError(f"missing field {key!r}")
+    return json_checked(data[key], kind, key)
+
+
 def presentation_from_json(data: dict, name=None) -> Presentation:
     """Read ``{"letters": [...], "relations": [{"lhs": ..., "rhs": ...}]}``.
 
@@ -213,14 +220,15 @@ def presentation_from_json(data: dict, name=None) -> Presentation:
     empty word; missing ``relations`` means none.
     """
     json_checked(data, dict, "a presentation")
-    alphabet = Alphabet(tuple(json_checked(data["letters"], list, "letters")))
+    alphabet = Alphabet(tuple(json_field(data, "letters", list)))
 
     def side(s):
         return parse_word_tokens(s.split() if isinstance(s, str) else
                                  json_checked(s, list, "a side"), alphabet)
 
     relations = tuple(
-        (side(json_checked(r, dict, "a relation")["lhs"]), side(r["rhs"]))
+        (side(json_field(json_checked(r, dict, "a relation"), "lhs")),
+         side(json_field(r, "rhs")))
         for r in json_checked(data.get("relations", []), list, "relations"))
     return Presentation(alphabet, relations, name)
 

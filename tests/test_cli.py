@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoidkit import cli, constructions
+from monoidkit.cayley import cayley_complex_chain
 from monoidkit.cli import main
+from monoidkit.homology import SparseIntMatrix
 
 BICYCLIC = "letters: a b\nrel: a b = 1\n"
 GRID = "letters: a b\nrel: b a = a b\n"
@@ -236,7 +239,7 @@ def test_check_tree_pass(capsys, bicyclic_file):
 
 def test_check_tree_grid_fails(capsys, grid_file):
     code, data = run_json(capsys, "check-tree", "--presentation", grid_file,
-                          "--radius", "4", "--margin", "0")
+                          "--radius", "4")
     assert code == 1
     assert data["is_tree"]["verdict"] == "refuted"
     assert data["entrance_violations"]
@@ -277,6 +280,11 @@ def test_spec_kind_mismatch(capsys, tmp_path, command, kind, spec):
     ("otto-pride", dict(OP_SPEC, a_gens=[["a", "a"]])),
     ("otto-pride", dict(OP_SPEC, phi=[["a a", "a"]])),
     ("otto-pride", dict(OP_SPEC, stable_letter=5)),
+    ("otto-pride", dict(OP_SPEC, m={"letters": ["a"], "relations": [
+        {"lhs": "a a"}]})),
+    ("amalgam", {k: v for k, v in AMALGAM_SPEC.items() if k != "m2"}),
+    ("amalgam", dict(AMALGAM_SPEC, f1={})),            # w has no image
+    ("amalgam", dict(AMALGAM_SPEC, f1={"w": "q"})),    # q is not in m1
 ])
 def test_malformed_spec_is_input_error(capsys, tmp_path, command, kind,
                                        spec):
@@ -352,6 +360,22 @@ def test_chain(capsys, bicyclic_file):
                           "--radius", "3")
     assert code == 0
     assert data["composite_zero"]
+
+
+def test_chain_composite_zero_is_computed(capsys, bicyclic_file,
+                                          monkeypatch):
+    # the field reads the product: a 2-cell on a path that is no loop
+    # gives a non-zero composite
+    def open_cell(sp, g):
+        export = cayley_complex_chain(sp, g)
+        return dataclasses.replace(export, boundary2=SparseIntMatrix(
+            export.boundary2.rows, 1, {(0, 0): 1}))
+
+    monkeypatch.setattr(cli, "cayley_complex_chain", open_cell)
+    code, data = run_json(capsys, "chain", "--presentation", bicyclic_file,
+                          "--radius", "3")
+    assert code == 0
+    assert data["composite_zero"] is False
 
 
 def test_homology(capsys, bicyclic_file):
@@ -500,7 +524,7 @@ Z5 = "letters: a\nrel: a a a a a = 1\n"
     ["cayley", "--radius", "-2"],
     ["cayley", "--radius", "2", "--margin", "-1"],
     ["check-tree", "--radius", "-1"],
-    ["homology", "--radius", "3", "--margin", "-5"],
+    ["homology", "--radius", "-1"],
 ])
 def test_negative_radius_or_margin_is_rejected(capsys, tmp_path, argv):
     # a negative radius used to let the ball search run without bound
@@ -510,6 +534,38 @@ def test_negative_radius_or_margin_is_rejected(capsys, tmp_path, argv):
         main(argv + ["--presentation", str(f)])
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command",
+                         ["condense", "check-tree", "chain", "homology"])
+def test_no_margin_where_no_artifact_reads_interior(capsys, bicyclic_file,
+                                                    command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--presentation", bicyclic_file, "--radius", "3",
+              "--margin", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --margin 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_error_is_not_an_input_error(capsys, bicyclic_file,
+                                              monkeypatch, error):
+    # a bug inside a command raises out of main instead of exiting 2
+    def broken(p):
+        raise error("internal")
+
+    monkeypatch.setattr(cli, "presentation_to_json", broken)
+    with pytest.raises(error):
+        main(["parse", "--presentation", bicyclic_file])
+    assert "input_error" not in capsys.readouterr().err
+
+
+def test_undecodable_file_is_input_error(capsys, tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_bytes(b"letters: \xff\n")
+    assert main(["parse", "--presentation", str(f)]) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "UnicodeDecodeError"
 
 
 @pytest.mark.parametrize("forest", [[], ["--forest"]])

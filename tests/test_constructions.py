@@ -634,6 +634,22 @@ def test_op_forest_derivation(octx):
         rep["failures"] + rep["skipped"]
 
 
+def test_op_forest_resolver_matches_lookup(octx):
+    # the resolver finds a pair's class by id arithmetic; the ball's
+    # element index, which it no longer builds, must agree, also on words
+    # that leave the ball
+    g = bass_serre_forest_bi(octx, "otto_pride", 3, margin=1)
+    d = op_forest_derivation(octx, g.edge_ball)
+    words = [w for w, _ in samples_from(octx, 4, 120, 3)]
+    resolved = 0
+    for x, y in zip(words, words[::-1]):
+        payload = (x + ("t",), ("a",) + y)
+        want = g.edge_ball.lookup(tuple(map(octx.solver, payload)))
+        assert d.resolver(payload) == want
+        resolved += want is not None
+    assert 0 < resolved < len(words)
+
+
 def test_op_forest_beta(octx):
     g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
     d = op_forest_derivation(octx, g.edge_ball)

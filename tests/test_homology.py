@@ -1,13 +1,19 @@
+import collections
+import contextlib
+import io
+import json
+import os
 import random
+import tempfile
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from math import gcd
 
 from monoidkit import homology
 from monoidkit.cayley import cayley_ball, cayley_complex_chain
 from monoidkit.cli import main
-from monoidkit.constructions import completed_solver
+from monoidkit.constructions import IncompleteSystemError, completed_solver
 from monoidkit.words import parse_presentation, validate_special
 from monoidkit.homology import (
     CompositeNotZeroError,
@@ -247,6 +253,52 @@ def determinantal_divisors(dense, rows, cols):
     return factors
 
 
+# Test-only oracle for exactness read from homology: the two reports as
+# they were computed side by side, homology from the Smith forms of the
+# boundaries and exactness from the ranks of the maps.
+
+
+def _oracle_homology(boundaries, forms):
+    dims = [b.rows for b in boundaries]
+    if boundaries:
+        dims.append(boundaries[-1].cols)
+    out = []
+    for i, dim in enumerate(dims):
+        rank_in = forms[i].rank if i < len(forms) else 0  # into C_i
+        rank_out = forms[i - 1].rank if i > 0 else 0      # out of C_i
+        betti = dim - rank_out - rank_in
+        torsion = forms[i].torsion() if i < len(forms) else ()
+        out.append({"degree": i, "betti": betti, "torsion": list(torsion)})
+    return out
+
+
+def _oracle_exactness(maps, ranks, augmentation):
+    defects = []
+    for i in range(1, len(maps)):
+        nullity = maps[i].cols - ranks[i]
+        defects.append({"slot": i, "defect": nullity - ranks[i - 1]})
+    report = {
+        "defects": defects,
+        "total_defect": sum(d["defect"] for d in defects),
+        "left_kernel_dim": maps[0].cols - ranks[0],
+    }
+    if augmentation is not None:
+        aug_defect = augmentation.rows - ranks[-1]
+        report["augmentation_defect"] = aug_defect
+        report["total_defect"] += aug_defect
+    return report
+
+
+def oracle_homology_and_exactness(boundaries, augmentation=None):
+    """chain_homology(boundaries) and exactness_check(boundaries[::-1],
+    augmentation), the exactness report from the rank of every map."""
+    maps = boundaries[::-1] + ([] if augmentation is None else [augmentation])
+    forms = [smith_normal_form(b) for b in boundaries]
+    return (_oracle_homology(boundaries, forms),
+            _oracle_exactness(maps, [rank_exact(m) for m in maps],
+                              augmentation))
+
+
 def test_matrix_roundtrip_triplets():
     m = M([[0, 2], [-3, 0], [0, 0]])
     again = SparseIntMatrix.from_triplets(m.to_triplets())
@@ -459,3 +511,134 @@ def test_homology_artifact_unchanged_by_pivot_heap(
     monkeypatch.setattr(homology, "_eliminate", oracle_eliminate_scan)
     assert main(argv) == heap_rc
     assert capsys.readouterr().out == heap_out
+
+
+def _dense_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _sparse(dense, rows, cols):
+    return SparseIntMatrix(rows, cols, {
+        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)
+        if v})
+
+
+@st.composite
+def chain_complexes(draw):
+    """(seq, augmentation): k = 1..3 boundary maps from the top degree down
+    with every composite zero, and an optional augmentation that kills the
+    image of the lowest map.
+
+    Each degree's basis is split into sources, which a map sends to a
+    non-zero multiple (torsion included) of one target basis vector of the
+    degree below, targets and free vectors; so consecutive maps compose
+    to zero.  Each degree then gets a random unimodular change of basis U,
+    d -> U_below d U^-1, which keeps the composites zero."""
+    k = draw(st.integers(1, 3))
+    pairs = [draw(st.integers(0, 2)) for _ in range(k)]  # degree j+1 -> j
+    free = [draw(st.integers(0, 2)) for _ in range(k + 1)]
+    dims = [(pairs[j - 1] if j else 0) + free[j]
+            + (pairs[j] if j < k else 0) for j in range(k + 1)]
+    # degree j lists its targets, then its free vectors, then its sources
+
+    def change_of_basis(n):
+        u = [[int(r == c) for c in range(n)] for r in range(n)]
+        inv = [row[:] for row in u]
+        for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            f = draw(st.integers(-2, 2))
+            for row in u:        # column i += f * column j
+                row[i] += f * row[j]
+            inv[j] = [a - f * b for a, b in zip(inv[j], inv[i])]
+        return u, inv          # u @ inv = 1
+
+    bases = [change_of_basis(n) for n in dims]
+    maps = []                 # maps[j]: degree j+1 -> degree j
+    for j in range(k):
+        d = [[0] * dims[j + 1] for _ in range(dims[j])]
+        for p in range(pairs[j]):
+            d[p][dims[j + 1] - pairs[j] + p] = draw(
+                st.sampled_from([1, -1, 2, 3, -4]))
+        d = _dense_product(_dense_product(bases[j][0], d), bases[j + 1][1])
+        maps.append(_sparse(d, dims[j], dims[j + 1]))
+    augmentation = None
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 2))
+        e = [[0] * pairs[0] + [draw(st.integers(-2, 2))
+                               for _ in range(dims[0] - pairs[0])]
+             for _ in range(rows)]
+        augmentation = _sparse(_dense_product(e, bases[0][1]) if dims[0]
+                               else e, rows, dims[0])
+    return maps[::-1], augmentation
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_complexes())
+def test_exactness_read_from_homology_matches_oracle(case):
+    seq, augmentation = case
+    want_homology, want_exact = oracle_homology_and_exactness(
+        seq[::-1], augmentation)
+    assert chain_homology(seq[::-1]) == want_homology
+    assert exactness_check(seq, augmentation) == want_exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text("ab", min_size=1, max_size=5), st.integers(1, 6))
+def test_homology_artifact_matches_oracle(relator, radius):
+    """The homology command on <a, b | relator = 1>, against the oracle on
+    the same Cayley complex."""
+    text = f"letters: a b\nrel: {' '.join(relator)} = 1\n"
+    sp = validate_special(parse_presentation(text))
+    try:
+        solver, _ = completed_solver(sp.base, 1000)
+    except IncompleteSystemError:
+        assume(False)   # e.g. abba: no finite shortlex system
+    export = cayley_complex_chain(
+        sp, cayley_ball(solver, sp.base.alphabet, radius, len(relator)))
+    b1, b2, augmentation = (export.boundary1, export.boundary2,
+                            export.augmentation)
+    want_homology, want_exact = oracle_homology_and_exactness(
+        [b1, b2], augmentation)
+    assert exactness_check([b2, b1], augmentation) == want_exact
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "p.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["homology", "--presentation", path,
+                       "--radius", str(radius), "--budget", "1000"])
+    assert json.loads(out.getvalue()) == {"homology": want_homology,
+                                          "exactness": want_exact}
+    assert rc == (1 if want_exact["total_defect"] else 0)
+
+
+def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
+    """One round of the cayley-homology benchmark workload, seed 1: 22
+    homology and 22 chain jobs.  Each job multiplies boundary1 @ boundary2
+    once and each homology job also the augmentation's composite (66
+    products); each homology job takes the Smith forms of its two
+    boundaries (44) and the rank of its augmentation (22)."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import workloads
+
+    jobs = workloads.build("cayley-homology", 1, str(tmp_path))
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counted(
+        "matmul", SparseIntMatrix.__matmul__))
+    for name in ("smith_normal_form", "rank_exact"):
+        monkeypatch.setattr(homology, name,
+                            counted(name, getattr(homology, name)))
+    for job in jobs:
+        assert job.run()[0] == 0
+    assert len(jobs) == 44
+    assert calls == {"matmul": 66, "smith_normal_form": 44, "rank_exact": 22}
