@@ -504,7 +504,8 @@ def build_parser():
         if order:
             p.add_argument("--order", type=lambda s: s.split(","))
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+            p.add_argument("--budget", type=_nonnegative,
+                           default=DEFAULT_BUDGET)
         if radius:
             p.add_argument("--radius", type=_nonnegative, required=True)
         if formats:

@@ -7,7 +7,9 @@ attempt costs one step, so results are machine independent.  Rewriting,
 critical pairs, interreduction and irreducible words all look redexes up
 in one trie over the rule left sides, built once per rule set;
 completion runs on the system, and so the trie, that interreduction made,
-and its result shares that trie.
+and its result shares that trie.  Completion replays the joins it made
+before and interreduction re-tests only the rules a new rule can reduce,
+with the steps, charges and results of doing all the work again.
 """
 
 from __future__ import annotations
@@ -48,11 +50,13 @@ class Budget:
         self.spent = 0
 
     def spend(self, n=1) -> bool:
-        """Charge n steps; False once the limit would be exceeded."""
-        if self.spent + n > self.limit:
-            return False
-        self.spent += n
-        return True
+        """Charge n steps as n single charges would: each fits while spent
+        is below the limit, and the answer is False when fewer than n fit."""
+        if self.spent + n <= self.limit:
+            self.spent += n
+            return True
+        self.spent = max(self.spent, self.limit)
+        return not n
 
 
 @dataclass(frozen=True)
@@ -215,10 +219,12 @@ def reduce_once(s: RewriteSystem, w: Word, budget: Budget = None):
     return w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
 
 
-def normalize(s: RewriteSystem, w: Word, budget: Budget = None) -> Word:
-    """Reduce to a fixed point.  Terminates: every rule is shortlex-decreasing."""
+def normalize(s: RewriteSystem, w: Word, budget: Budget = None,
+              trace: list = None) -> Word:
+    """Reduce to a fixed point, appending each new word to trace.
+    Terminates: every rule is shortlex-decreasing."""
     s.require_oriented()
-    return _rewrite(s, w, budget)
+    return _rewrite(s, w, budget, trace)
 
 
 def normalize_trace(s: RewriteSystem, w: Word, budget: Budget = None) -> list[Word]:
@@ -269,26 +275,53 @@ def critical_pairs(s: RewriteSystem):
             yield left, right, (kind, i, j, p)
 
 
-def _interreduce(alphabet: Alphabet, rules) -> RewriteSystem:
+def _encoder(alphabet: Alphabet):
+    """Words as text, one character per letter, so that a factor test is a
+    substring test; no letter is "\0", which separates words."""
+    code = {a: chr(alphabet.rank(a) + 1) for a in alphabet.letters}
+    return lambda w: "".join(map(code.__getitem__, w))
+
+
+def _interreduce(alphabet: Alphabet, rules, clean=()) -> RewriteSystem:
     """Canonical interreduced rule set: no lhs/rhs reducible by another rule.
 
     Each round indexes the sorted rules once and reduces the first reducible
     rule through that index, skipping the rule itself (which keeps the order
     of the others); the system of the round that changes nothing is
-    returned, its index ready for completion."""
+    returned, its index ready for completion.  The rules of clean (by
+    identity) are known irreducible by the others; rules leaving reduce
+    nothing, so a known rule is tested again only after a rule whose lhs
+    occurs in its sides enters, and each round still reduces the first
+    reducible rule in sorted order."""
+    encode = _encoder(alphabet)
+
+    def sides(r):
+        return encode(r.lhs) + "\0" + encode(r.rhs)
+
     work = list(rules)
+    known = {id(r): sides(r) for r in clean}
+    entered = [r for r in work if id(r) not in known]
     while True:
-        work.sort(key=lambda r: alphabet.shortlex_key(r.lhs))
+        for new in entered:
+            lhs = encode(new.lhs)
+            known = {k: text for k, text in known.items() if lhs not in text}
+        entered = ()
+        # shortlex: the text of a word orders as its letters' ranks
+        work.sort(key=lambda r: (len(r.lhs), encode(r.lhs)))
         system = RewriteSystem(alphabet, tuple(work), ORIENTED)
         for idx, rule in enumerate(work):
+            if id(rule) in known:
+                continue
             lhs = _rewrite(system, rule.lhs, skip=idx)
             rhs = _rewrite(system, rule.rhs, skip=idx)
             if lhs == rule.lhs and rhs == rule.rhs:
+                known[id(rule)] = sides(rule)
                 continue
             del work[idx]
             new_rule = _rule(alphabet, lhs, rhs)
             if lhs != rhs and new_rule not in work:
                 work.append(new_rule)
+                entered = (new_rule,)
             break
         else:
             return system
@@ -296,25 +329,56 @@ def _interreduce(alphabet: Alphabet, rules) -> RewriteSystem:
 
 def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionResult:
     """Budgeted completion.  Every added rule is a consequence of the input,
-    so the congruence is preserved whether or not completion finishes."""
+    so the congruence is preserved whether or not completion finishes.
+
+    A pair joined in an earlier round is replayed: its charge, 1 + its
+    rewrites, is spent at once and nothing is normalized.  The replay is
+    exact.  In an interreduced system no lhs is a factor of another, so at
+    most one redex starts at any position and the leftmost one does not
+    depend on the rule order; a join therefore passes through the same
+    words, with the same charges, unless a rule that entered or left since
+    has its lhs in one of them.  A rule that left was reduced, or replaced
+    by one with the same lhs, and interreduction never makes a reducible
+    word irreducible; so its lhs holds the lhs of a rule that entered, and
+    only those are tested.  Joins are keyed by their two rules' ids and the
+    position.  After each interreduction the entries that fail the test go,
+    and so do those of rules that left, so an id reused by a new rule finds
+    nothing."""
     s.require_oriented()
     budget = Budget(budget_limit)
     alphabet = s.alphabet
+    encode = _encoder(alphabet)
     current = _interreduce(alphabet, s.rules)
+    joins = {}  # (id(rule_i), id(rule_j), position) -> (trace text, charge)
     try:
         while True:
-            for left, right, _prov in critical_pairs(current):
-                if not budget.spend():  # join attempt
+            rules = current.rules
+            for left, right, (_, i, j, p) in critical_pairs(current):
+                key = (id(rules[i]), id(rules[j]), p)
+                join = joins.get(key)
+                # a replay charges the whole join, a new join its attempt
+                if not budget.spend(join[1] if join else 1):
                     raise BudgetExhausted(current)
-                u = normalize(current, left, budget)
-                v = normalize(current, right, budget)
+                if join:
+                    continue
+                trace = [left]
+                u = normalize(current, left, budget, trace)
+                trace.append(right)
+                v = normalize(current, right, budget, trace)
                 if u != v:
                     break
+                joins[key] = ("\0".join(map(encode, trace)), len(trace) - 1)
             else:
                 return CompletionResult(
                     current.with_status(COMPLETE), True, budget.spent)
             current = _interreduce(
-                alphabet, current.rules + (_rule(alphabet, u, v),))
+                alphabet, rules + (_rule(alphabet, u, v),), rules)
+            old, live = set(map(id, rules)), set(map(id, current.rules))
+            entered = [encode(r.lhs) for r in current.rules
+                       if id(r) not in old]
+            joins = {key: join for key, join in joins.items()
+                     if key[0] in live and key[1] in live
+                     and not any(lhs in join[0] for lhs in entered)}
     except BudgetExhausted:
         return CompletionResult(
             current.with_status(PARTIAL), False, budget.spent)

@@ -579,6 +579,43 @@ def test_negative_margin_on_specs(capsys, op_spec_file, command, forest):
     assert "must be >= 0" in capsys.readouterr().err
 
 
+BUDGET_COMMANDS = {
+    "complete": [],
+    "rewrite": ["--word", "a b"],
+    "equal": ["--u", "a b", "--v", "1"],
+    "analyze-special": [],
+    "cayley": ["--radius", "2"],
+    "condense": ["--radius", "2"],
+    "check-tree": ["--radius", "2"],
+    "chain": ["--radius", "2"],
+    "homology": ["--radius", "2"],
+    "construct": ["--kind", "otto-pride"],
+    "bass-serre": ["--kind", "otto-pride", "--radius", "2"],
+    "verify-derivations": ["--kind", "otto-pride", "--radius", "2"],
+}
+
+
+def test_negative_budget_is_rejected(capsys, bicyclic_file, op_spec_file):
+    # analyze-special --budget -1 used to exit 0 with an empty analysis,
+    # and complete --budget -5 to exit 3
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert set(BUDGET_COMMANDS) == {
+        name for name, p in commands.items()
+        if "--budget" in p._option_string_actions}
+    for command, extra in BUDGET_COMMANDS.items():
+        source = next(["--" + flag, path] for flag, path in (
+            ("presentation", bicyclic_file), ("system", bicyclic_file),
+            ("spec", op_spec_file))
+            if "--" + flag in commands[command]._option_string_actions)
+        for budget in ("-1", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--budget", budget] + source + extra)
+            assert exc.value.code == 2, command
+            assert "must be >= 0" in capsys.readouterr().err, command
+        assert main([command, "--budget", "0"] + source + extra) != 2, command
+        capsys.readouterr()
+
+
 def artifact_values():
     scalars = (st.text() | st.integers(-10**30, 10**30) | st.booleans()
                | st.none())

@@ -1,6 +1,9 @@
-import pytest
-from hypothesis import example, given, settings, strategies as st
+import weakref
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from monoidkit import rewriting
 from monoidkit.words import EMPTY, Alphabet, parse_presentation
 from monoidkit.rewriting import (
     COMPLETE,
@@ -13,6 +16,7 @@ from monoidkit.rewriting import (
     RewriteSystem,
     _ball_with_parents,
     _interreduce,
+    _rule,
     critical_pairs,
     equal_words,
     irreducible_words,
@@ -403,13 +407,96 @@ def relation_systems(draw):
                          Alphabet(tuple(letters)))
 
 
+def coxeter_sn(n):
+    """S_n as the Coxeter group on the path s_1 .. s_{n-1}."""
+    g = "abcdefg"[:n - 1]
+    rels = [(a + a, "") for a in g]
+    for i, a in enumerate(g):
+        for j, b in enumerate(g[i + 1:], i + 1):
+            rels.append((a + b + a, b + a + b) if j == i + 1 else (a + b, b + a))
+    return raw(g, *rels)
+
+
+# positive Artin monoids A2, B2, G2 and A3, at budgets that run out while
+# a join is replayed, part of its charge still fitting
+@example(raw("ab", ("aba", "bab")), 1564)
+@example(raw("ab", ("abab", "baba")), 1563)
+@example(raw("ab", ("ababab", "bababa")), 1567)
+@example(raw("abc", ("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")), 1558)
+@example(coxeter_sn(4), 10**4)
+@example(coxeter_sn(5), 10**4)
 @example(raw("ab", ("aba", "bab")), 600)
+# a new rule's lhs turns up in the words of a join made before it
+@example(raw("ab", ("aaba", "")), 48)
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(raw_systems(), relation_systems()), st.integers(1, 3000))
 def test_knuth_bendix_matches_scan_oracle(s, limit):
     got, want = knuth_bendix(s, limit), oracle_knuth_bendix(s, limit)
     assert got.system == want.system
     assert (got.completed, got.steps) == (want.completed, want.steps)
+
+
+@example(raw("abc", ("cbc", ""), ("cab", "b")), 750)
+@example(raw("ab", ("baab", ""), ("aa", "bbb")), 643)
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(raw_systems(), relation_systems()), st.integers(1, 1000))
+def test_knuth_bendix_survives_reused_ids(s, limit):
+    """Joins are keyed by the ids of their rules, and a rule that leaves
+    frees its id for a new rule.  Here each freed id is the next one handed
+    out, so a join left behind by a rule that left would be replayed for
+    the rule that took its id."""
+    free, ids, fresh = [], {}, iter(range(10**9))
+
+    def reusing_id(rule):
+        key = id(rule)
+        if key not in ids:
+            ids[key] = free.pop() if free else next(fresh)
+            weakref.finalize(rule, lambda: free.append(ids.pop(key)))
+        return ids[key]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rewriting, "id", reusing_id, raising=False)
+        got = knuth_bendix(s, limit)
+    want = oracle_knuth_bendix(s, limit)
+    assert got.system == want.system
+    assert (got.completed, got.steps) == (want.completed, want.steps)
+
+
+@st.composite
+def interreduced_and_one_more(draw):
+    """An interreduced rule set and one more rule, whose lhs is often cut
+    out of a side of a rule in the set, so that it reduces that rule."""
+    s = draw(raw_systems())
+    alphabet = s.alphabet
+    rules = _interreduce(alphabet, s.rules).rules
+    sides = [r.lhs for r in rules] + [r.rhs for r in rules if r.rhs]
+    if sides and draw(st.booleans()):
+        side = draw(st.sampled_from(sides))
+        i = draw(st.integers(0, len(side) - 1))
+        u = side[i:draw(st.integers(i + 1, len(side)))]
+    else:
+        u = draw(words_over(alphabet.letters, 1, 5))
+    v = draw(words_over(alphabet.letters, 0, 5))
+    assume(u != v)
+    return alphabet, rules, _rule(alphabet, u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interreduced_and_one_more())
+def test_interreduce_known_rules_matches_scan_oracle(case):
+    alphabet, rules, new = case
+    got = _interreduce(alphabet, rules + (new,), clean=rules)
+    assert list(got.rules) == oracle_interreduce(alphabet, rules + (new,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 30), st.lists(st.integers(0, 12), max_size=6))
+def test_spend_n_is_n_single_charges(limit, charges):
+    bulk, single = Budget(limit), Budget(limit)
+    for n in charges:
+        fits = all([single.spend() for _ in range(n)])
+        assert bulk.spend(n) == fits
+        assert bulk.spent == single.spent
 
 
 def test_equal_words_witness_is_both_traces():
@@ -450,6 +537,85 @@ def test_one_trie_per_cayley_homology_job(tmp_path, monkeypatch):
         assert job.run()[0] == 0
     assert len(jobs) == 44
     assert len(builds) == 44
+
+
+def rejoining_knuth_bendix(s, budget_limit=10**6):
+    """Completion that joins every critical pair again after each new rule
+    and tests every rule in each interreduction: the steps and results that
+    knuth_bendix must replay.  It calls through the module, so that a
+    test can count the calls."""
+    budget = Budget(budget_limit)
+    alphabet = s.alphabet
+    current = rewriting._interreduce(alphabet, s.rules)
+    try:
+        while True:
+            for left, right, _prov in critical_pairs(current):
+                if not budget.spend():
+                    raise BudgetExhausted(current)
+                u = rewriting.normalize(current, left, budget)
+                v = rewriting.normalize(current, right, budget)
+                if u != v:
+                    break
+            else:
+                return CompletionResult(
+                    current.with_status(COMPLETE), True, budget.spent)
+            current = rewriting._interreduce(
+                alphabet, current.rules + (_rule(alphabet, u, v),))
+    except BudgetExhausted:
+        return CompletionResult(
+            current.with_status(PARTIAL), False, budget.spent)
+
+
+def test_complete_round_replays_joins(tmp_path, monkeypatch):
+    """One round of the complete benchmark workload (seed 1) makes 13,328
+    normalizations, and 12,022 rewrites of a rule side in interreduction,
+    when every pair is joined again and every rule is tested again;
+    replaying joins and re-testing only touched rules must cut them below
+    2,300 and 1,000 and leave every artifact as it was."""
+    import os
+
+    from monoidkit import cli
+
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import workloads
+
+    jobs = workloads.build("complete", 1, str(tmp_path))
+    counts = {"normalize": 0, "rewrites": 0, "depth": 0}
+    normalize, interreduce, rewrite = (
+        rewriting.normalize, rewriting._interreduce, rewriting._rewrite)
+
+    def counting_normalize(*args):
+        counts["normalize"] += 1
+        return normalize(*args)
+
+    def counting_interreduce(*args):
+        counts["depth"] += 1
+        try:
+            return interreduce(*args)
+        finally:
+            counts["depth"] -= 1
+
+    def counting_rewrite(*args, **kwargs):
+        if counts["depth"]:
+            counts["rewrites"] += 1
+        return rewrite(*args, **kwargs)
+
+    def round_counts(run_all):
+        counts.update(normalize=0, rewrites=0)
+        return run_all(), counts["normalize"], counts["rewrites"]
+
+    monkeypatch.setattr(rewriting, "normalize", counting_normalize)
+    monkeypatch.setattr(rewriting, "_interreduce", counting_interreduce)
+    monkeypatch.setattr(rewriting, "_rewrite", counting_rewrite)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "knuth_bendix", rejoining_knuth_bendix)
+        want, *rejoined = round_counts(lambda: [job.run() for job in jobs])
+    got, *replayed = round_counts(lambda: [job.run() for job in jobs])
+    assert len(jobs) == 24
+    assert got == want
+    assert rejoined == [13328, 12022]
+    assert replayed[0] <= 2300 and replayed[1] <= 1000
 
 
 def test_completion_result_keeps_the_trie():
