@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .words import EMPTY, Alphabet, Word, format_word
+from .words import EMPTY, Alphabet, format_word
 from .rewriting import Verdict
 from .homology import SparseIntMatrix
 
@@ -30,9 +30,8 @@ class LabeledDigraph:
     depth: list             # vertex id -> BFS distance from the root
     radius: int
     margin: int
-
-    def id_of(self, label: Word):
-        return self._ids[label]
+    # label -> vertex id
+    ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def interior_ids(self):
         return [i for i, flag in enumerate(self.interior) if flag]
@@ -99,10 +98,8 @@ def cayley_ball(solver, alphabet: Alphabet, radius: int,
                 queue.append(ids[nf])
             arcs.append((v, ids[nf], a))
     interior = [d <= radius - margin for d in depth]
-    g = LabeledDigraph(alphabet, vertices, arcs, interior, depth,
-                       radius, margin)
-    g._ids = ids
-    return g
+    return LabeledDigraph(alphabet, vertices, arcs, interior, depth,
+                          radius, margin, ids)
 
 
 @dataclass
@@ -291,17 +288,27 @@ def hasse_prefix_tree(ua, ball: LabeledDigraph,
             if w[:k] in parts:
                 arcs.append((ids[w[:k]], ids[w], format_word(w[k:])))
                 break
-    g = LabeledDigraph(alphabet, ordered, arcs,
-                       [True] * len(ordered), [None] * len(ordered),
-                       ball.radius, 0)
-    g._ids = ids
-    return g
+    return LabeledDigraph(alphabet, ordered, arcs,
+                          [True] * len(ordered), [None] * len(ordered),
+                          ball.radius, 0, ids)
 
 
 def _ahu_code(children, root):
-    """Canonical code of an unordered rooted tree."""
-    code = sorted(_ahu_code(children, c) for c in children.get(root, ()))
-    return "(" + "".join(code) + ")"
+    """Canonical code of an unordered rooted tree: the sorted codes of a
+    vertex's children in parentheses, made from a stack, not by recursion."""
+    code, stack = {}, [(root, False)]
+    while stack:
+        v, ready = stack.pop()
+        kids = children.get(v, ())
+        if ready:
+            code[v] = "(" + "".join(sorted(map(code.__getitem__, kids))) + ")"
+        elif v not in code:
+            code[v] = None      # open until its children are coded
+            stack.append((v, True))
+            stack.extend((c, False) for c in kids)
+        elif code[v] is None:
+            raise CayleyError(f"not a rooted tree: a cycle through {v!r}")
+    return code[root]
 
 
 def rooted_trees_isomorphic(edges_a, root_a, edges_b, root_b) -> bool:
@@ -326,7 +333,7 @@ def condensation_matches_hasse(ua, g: LabeledDigraph,
     cond_edges = [(s, d) for s, d, _ in rep.dag_arcs
                   if s in inside and d in inside]
     hasse_edges = [(s, d) for s, d, _ in hasse.arcs]
-    root_h = hasse.id_of(EMPTY)
+    root_h = hasse.ids[EMPTY]
     return rooted_trees_isomorphic(cond_edges, rep.root_scc,
                                    hasse_edges, root_h)
 

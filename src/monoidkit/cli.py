@@ -303,7 +303,7 @@ def cmd_analyze_special(args):
         },
         "I": [format_word(w) for w in ua.I],
         "I0": [format_word(w) for w in ua.I0],
-        "torsion": torsion_flag(sp, ua) if len(sp.relators) == 1 else None,
+        "torsion": torsion_flag(sp) if len(sp.relators) == 1 else None,
         "certified": ua.certified,
         "diagnostics": ua.diagnostics,
     }
@@ -542,7 +542,7 @@ def build_parser():
             order=False, radius=True, kinds=bass_serre_kinds)
     p.add_argument("--margin", type=_nonnegative)
     p.add_argument("--forest", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from math import isqrt
 
 from .words import (
     EMPTY,
@@ -33,7 +32,7 @@ from .rewriting import (
     normalize,
     orient_system,
 )
-from .cayley import cayley_ball, default_margin
+from .cayley import LabeledDigraph, cayley_ball, default_margin
 from .homology import SparseIntMatrix, rank_exact
 
 
@@ -331,12 +330,9 @@ class QuotientBall:
     classes: list           # class id -> sorted member element ids
     partial: list           # class id -> bool
     truncated: bool = False
-    # the Cayley ball the elements come from: a pair ball's pair (x, y) has
-    # id id(x) * n + id(y), n being the number of the ball's vertices
-    ball: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index = None      # element -> class id, built on first lookup
+    pair: bool = False      # whether the elements are pairs of words
+    # the Cayley ball the elements come from, whose id map numbers them
+    ball: LabeledDigraph = field(default=None, repr=False, compare=False)
 
     @property
     def pairs(self):
@@ -344,10 +340,14 @@ class QuotientBall:
         return self.elements
 
     def lookup(self, element):
-        """Class id of an element, or None if outside the ball."""
-        if self._index is None:
-            self._index = dict(zip(self.elements, self.class_of))
-        return self._index.get(element)
+        """Class id of an element (a normal-form word, or a pair of them in
+        a pair ball), or None if outside the ball.  With n vertices in the
+        Cayley ball, the pair (x, y) has id id(x) * n + id(y)."""
+        ids = self.ball.ids
+        i, j = map(ids.get, element) if self.pair else (0, ids.get(element))
+        if i is None or j is None:
+            return None
+        return self.class_of[i * len(ids) + j]
 
     def rep(self, class_id):
         return self.elements[self.classes[class_id][0]]
@@ -369,8 +369,8 @@ class QuotientBall:
         }
 
 
-def _quotient(side, radius, ball, elements, depth, k, joins, budget_limit,
-              margin):
+def _quotient(side, ball, elements, depth, k, joins, budget_limit, margin,
+              pair=False):
     """Classes of elements under their generator moves: k per element, in
     order, each one budget step, so the first min(len(elements) * k,
     budget) run; joins(m) gives the id pairs the first m moves join (a
@@ -387,22 +387,21 @@ def _quotient(side, radius, ball, elements, depth, k, joins, budget_limit,
     class_of, classes = uf.classes()
     partial = [True] * len(classes)
     if run == total:
-        settled = radius - margin
+        settled = ball.radius - margin
         for c in {c for c, d in zip(class_of, depth) if d <= settled}:
             partial[c] = False
-    return QuotientBall(side, radius, elements, class_of, classes, partial,
-                        run < total, ball)
+    return QuotientBall(side, ball.radius, elements, class_of, classes,
+                        partial, run < total, pair, ball)
 
 
-def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
+def quotient_ball(solver, ball: LabeledDigraph, k_gens,
                   budget_limit=DEFAULT_BUDGET, side="L/K",
                   margin: int = 0) -> QuotientBall:
     """Weak orbits of right multiplication by the submonoid generated by
-    k_gens, restricted to the radius ball.  Classes whose members all lie
-    within margin of the ball boundary are flagged partial: their membership
-    and distinctness are least settled at this radius."""
-    ball = cayley_ball(solver, alphabet, radius, 0)
-    elements, ids = ball.vertices, ball._ids
+    k_gens, restricted to the Cayley ball built with solver.  Classes whose
+    members all lie within margin of the ball boundary are flagged partial:
+    their membership and distinctness are least settled at this radius."""
+    elements, ids = ball.vertices, ball.ids
     k_gens = tuple(tuple(g) for g in k_gens)
     k = len(k_gens)
 
@@ -413,20 +412,19 @@ def quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
             if j is not None:
                 yield i, j
 
-    return _quotient(side, radius, ball, list(elements), ball.depth, k,
-                     joins, budget_limit, margin)
+    return _quotient(side, ball, list(elements), ball.depth, k, joins,
+                     budget_limit, margin)
 
 
-def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
+def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
                        budget_limit=DEFAULT_BUDGET, side="LxL/K",
                        margin: int = 0, twist=None) -> QuotientBall:
-    """Tensor classes of pairs from the ball under the transfer moves
-    (x.g, y) ~ (x, twist(g).y) for each generator g of the middle
-    submonoid; twist defaults to the identity and carries the homomorphism
-    when the two actions differ.  The depth of a pair is the sum of its
-    element depths."""
-    ball = cayley_ball(solver, alphabet, radius, 0)
-    elements, depth, ids = ball.vertices, ball.depth, ball._ids
+    """Tensor classes of pairs from the Cayley ball (built with solver)
+    under the transfer moves (x.g, y) ~ (x, twist(g).y) for each generator
+    g of the middle submonoid; twist defaults to the identity and carries
+    the homomorphism when the two actions differ.  The depth of a pair is
+    the sum of its element depths."""
+    elements, depth, ids = ball.vertices, ball.depth, ball.ids
     n = len(elements)
     k_gens = tuple(tuple(g) for g in k_gens)
     k = len(k_gens)
@@ -457,8 +455,8 @@ def pair_quotient_ball(solver, alphabet: Alphabet, k_gens, radius: int,
 
     pairs = [(x, y) for x in elements for y in elements]
     pair_depth = [dx + dy for dx in depth for dy in depth]
-    return _quotient(side, radius, ball, pairs, pair_depth, k, joins,
-                     budget_limit, margin)
+    return _quotient(side, ball, pairs, pair_depth, k, joins, budget_limit,
+                     margin, pair=True)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +573,8 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
                 ends=None):
     """The Bass-Serre graph whose vertices are the classes of the vertex
     balls (side -> ball, in order) and whose edges are the classes of
-    edge_ball.  All the balls are built on equal Cayley balls (one solver,
-    alphabet and radius), so they number their elements alike.
+    edge_ball.  All the balls are built on one Cayley ball, so they number
+    their elements by its id map.
     ends(edge_ball) gives, for the edge ball's elements, the ids of their
     tail elements in the first vertex ball and of their head elements in
     the last, None outside the ball; without ends, each edge element is
@@ -632,14 +630,15 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
 
 
 def _balls(build, ctx, radius, budget_limit, margin):
-    """build (quotient_ball or pair_quotient_ball) on ctx's presentation at
-    radius, as a function of the generators and side; the margin defaults
-    to the longest relation side."""
+    """build (quotient_ball or pair_quotient_ball) on the one Cayley ball of
+    ctx's presentation at radius, as a function of the generators and side;
+    the margin defaults to the longest relation side."""
     if margin is None:
         margin = default_margin(ctx.presentation)
+    ball = cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, 0)
     return lambda gens, side, **twist: build(
-        ctx.solver, ctx.presentation.alphabet, gens, radius, budget_limit,
-        side=side, margin=margin, **twist)
+        ctx.solver, ball, gens, budget_limit, side=side, margin=margin,
+        **twist)
 
 
 @dataclass
@@ -705,7 +704,7 @@ def bass_serre_ball_op(ctx: OPBallContext, radius: int,
     t = (ctx.spec.stable_letter,)
 
     def ends(edge_ball):
-        ids = edge_ball.ball._ids
+        ids = edge_ball.ball.ids
         return (range(len(edge_ball.elements)),
                 [ids.get(ctx.solver(x + t)) for x in edge_ball.elements])
 
@@ -736,7 +735,7 @@ def bass_serre_forest_bi(ctx, kind: str, radius: int,
     def ends(edge_ball):
         # the pair (x_i, y_j) has id i * n + j: its tail (x_i, t.y_j) has id
         # i * n + id(t.y_j) and its head (x_i.t, y_j) has id(x_i.t) * n + j
-        elements, ids = edge_ball.ball.vertices, edge_ball.ball._ids
+        elements, ids = edge_ball.ball.vertices, edge_ball.ball.ids
         n = len(elements)
         t_y = [ids.get(ctx.solver(t + y)) for y in elements]
         x_t = [ids.get(ctx.solver(x + t)) for x in elements]
@@ -858,17 +857,10 @@ def op_forest_derivation(ctx: OPBallContext,
     d(m) = 0, with k.[x,y].k' = [kx, yk']."""
     images = {a: [] for a in ctx.spec.m.alphabet.letters}
     images[ctx.spec.stable_letter] = [(1, (EMPTY, EMPTY))]
-
-    # pair (x_i, y_j) has id i * n + j, so pairs 0..n-1 are the (x_0, y_j)
-    n = isqrt(len(edge_ball.elements))
-    ids = {y: j for j, (_, y) in enumerate(edge_ball.elements[:n])}
-
-    def resolver(payload):
-        i, j = map(ids.get, map(ctx.solver, payload))
-        return None if None in (i, j) else edge_ball.class_of[i * n + j]
-
     return DerivationSpec(
-        "bimodule", images, resolver, ctx.solver,
+        "bimodule", images,
+        lambda payload: edge_ball.lookup(tuple(map(ctx.solver, payload))),
+        ctx.solver,
         act_left=lambda prefix, payload: (prefix + payload[0], payload[1]),
         act_right=lambda payload, letter: (payload[0],
                                            payload[1] + (letter,)))

@@ -321,7 +321,7 @@ def units_presentation(ua: UnitsAnalysis) -> Presentation:
     return Presentation(ua.b_alphabet, ua.t0, name="units")
 
 
-def torsion_flag(sp: SpecialPresentation, ua: UnitsAnalysis = None) -> dict:
+def torsion_flag(sp: SpecialPresentation) -> dict:
     """For a one-relator presentation w = 1 with w = p^k (p primitive), the
     group of units has torsion exactly when k > 1."""
     from .words import primitive_root

@@ -6,6 +6,7 @@ from monoidkit.rewriting import knuth_bendix, normalize, orient_system
 from monoidkit.special import compute_delta, normalize_special
 from monoidkit.cayley import (
     CayleyError,
+    _ahu_code,
     LabeledDigraph,
     cayley_ball,
     cayley_complex_chain,
@@ -210,6 +211,51 @@ def test_rooted_tree_isomorphism():
     star = [(0, 1), (0, 2)]
     assert rooted_trees_isomorphic(path, 0, [(5, 3), (3, 7)], 5)
     assert not rooted_trees_isomorphic(path, 0, star, 0)
+
+
+def recursive_ahu_code(children, root):
+    """The recursive encoder that _ahu_code replaced, kept as its oracle."""
+    code = sorted(recursive_ahu_code(children, c)
+                  for c in children.get(root, ()))
+    return "(" + "".join(code) + ")"
+
+
+@st.composite
+def rooted_dags(draw):
+    # vertex i > 0 hangs below one or two earlier vertices, so trees,
+    # shared children and repeated arcs all occur; labels are shuffled
+    n = draw(st.integers(1, 12))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[p], label[i]) for i in range(1, n)
+             for p in draw(st.lists(st.integers(0, i - 1), min_size=1,
+                                    max_size=2))]
+    children = {}
+    for p, c in draw(st.permutations(edges)):
+        children.setdefault(p, []).append(c)
+    return children, label[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_dags())
+def test_ahu_code_matches_recursive_encoder(case):
+    children, root = case
+    assert _ahu_code(children, root) == recursive_ahu_code(children, root)
+
+
+def test_ahu_code_deep_path():
+    # the recursive encoder raised RecursionError on paths of a few
+    # thousand vertices
+    n = 5000
+    path = [(i, i + 1) for i in range(n - 1)]
+    assert _ahu_code({p: [c] for p, c in path}, 0) == "(" * n + ")" * n
+    relabeled = [(n - 1 - p, n - 1 - c) for p, c in reversed(path)]
+    assert rooted_trees_isomorphic(path, 0, relabeled, n - 1)
+    assert not rooted_trees_isomorphic(path, 0, path[:-1] + [(0, n)], 0)
+
+
+def test_ahu_code_rejects_cycles():
+    with pytest.raises(CayleyError):
+        _ahu_code({0: [1], 1: [2], 2: [1]}, 0)
 
 
 def test_chain_export_bicyclic():

@@ -571,12 +571,17 @@ def test_undecodable_file_is_input_error(capsys, tmp_path):
 @pytest.mark.parametrize("forest", [[], ["--forest"]])
 @pytest.mark.parametrize("command", ["bass-serre", "verify-derivations"])
 def test_negative_margin_on_specs(capsys, op_spec_file, command, forest):
-    # a negative margin used to call every class interior
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--kind", "otto-pride", "--spec", op_spec_file,
-              "--radius", "3", "--margin", "-1"] + forest)
-    assert exc.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    # a negative margin used to call every class interior, and
+    # verify-derivations --samples -5 to exit 0 after sampling nothing
+    values = [["--margin", "-1"]]
+    if command == "verify-derivations":
+        values.append(["--samples", "-5"])
+    for value in values:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kind", "otto-pride", "--spec", op_spec_file,
+                  "--radius", "3"] + value + forest)
+        assert exc.value.code == 2, value
+        assert "must be >= 0" in capsys.readouterr().err
 
 
 BUDGET_COMMANDS = {

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from monoidkit.words import (
     EMPTY, Alphabet, Presentation, UnionFind, format_word)
 from monoidkit.rewriting import Budget, equal_words
+from monoidkit import constructions
 from monoidkit.cayley import cayley_ball, default_margin
 from monoidkit.constructions import (
     AmalgamSpec,
@@ -296,24 +297,27 @@ def test_op_multiply_associative(opctx, octx):
 # quotient balls
 
 
+def ball_of(ctx, radius):
+    return cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, 0)
+
+
 def test_quotient_ball_submonoid_collapses(octx):
     # all powers of a fall into the class of 1 under right multiplication by a
-    qb = quotient_ball(octx.solver, octx.presentation.alphabet,
-                       [w("a")], 5, side="L/M")
+    qb = quotient_ball(octx.solver, ball_of(octx, 5), [w("a")], side="L/M")
     assert qb.lookup(EMPTY) == qb.lookup(w("a")) == qb.lookup(w("aaa"))
 
 
 def test_quotient_ball_parity(octx):
     # A is generated by aa, so 1 and a sit in different classes of L/A
-    qb = quotient_ball(octx.solver, octx.presentation.alphabet,
-                       octx.a_images, 6, side="L/A")
+    qb = quotient_ball(octx.solver, ball_of(octx, 6), octx.a_images,
+                       side="L/A")
     assert qb.lookup(EMPTY) != qb.lookup(w("a"))
     assert qb.lookup(EMPTY) == qb.lookup(w("aa"))
 
 
 def test_quotient_ball_partial_flags(octx):
-    qb = quotient_ball(octx.solver, octx.presentation.alphabet,
-                       octx.a_images, 4, side="L/A", margin=2)
+    qb = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images,
+                       side="L/A", margin=2)
     assert not qb.partial[qb.lookup(EMPTY)]
     deep = [ci for ci in range(len(qb.classes)) if qb.partial[ci]]
     for ci in deep:
@@ -321,22 +325,20 @@ def test_quotient_ball_partial_flags(octx):
 
 
 def test_quotient_ball_json_deterministic(octx):
-    a = quotient_ball(octx.solver, octx.presentation.alphabet,
-                      octx.a_images, 4)
-    b = quotient_ball(octx.solver, octx.presentation.alphabet,
-                      octx.a_images, 4)
+    a = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images)
+    b = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images)
     assert a.to_json() == b.to_json()
 
 
 def test_pair_quotient_twist(octx):
     # in the A-tensor twisted by phi, (x.aa, y) ~ (x, a.y)
     phi = {w("aa"): w("a")}
-    pq = pair_quotient_ball(octx.solver, octx.presentation.alphabet,
-                            octx.a_images, 4, side="LxL/A", twist=phi)
+    pq = pair_quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images,
+                            side="LxL/A", twist=phi)
     assert pq.lookup((w("aa"), EMPTY)) == pq.lookup((EMPTY, w("a")))
     assert pq.to_json()["classes"][0]["representative"] == "1,1"
-    untwisted = pair_quotient_ball(octx.solver, octx.presentation.alphabet,
-                                   octx.a_images, 4, side="LxL/A")
+    untwisted = pair_quotient_ball(octx.solver, ball_of(octx, 4),
+                                   octx.a_images, side="LxL/A")
     assert untwisted.lookup((w("aa"), EMPTY)) == untwisted.lookup(
         (EMPTY, w("aa")))
 
@@ -346,7 +348,8 @@ def test_pair_quotient_twist(octx):
 # normalizes x.g and twist(g).y for every pair.
 
 
-def oracle_finish(side, radius, elements, uf, depth, margin, truncated):
+def oracle_finish(side, radius, elements, uf, depth, margin, truncated,
+                  pair=False, ball=None):
     n = len(elements)
     groups = {}
     for i in range(n):
@@ -360,7 +363,8 @@ def oracle_finish(side, radius, elements, uf, depth, margin, truncated):
         partial.append(truncated
                        or min(depth[v] for v in members) > radius - margin)
     return QuotientBall(side, radius, list(elements), class_of,
-                        [sorted(m) for m in ordered], partial, truncated)
+                        [sorted(m) for m in ordered], partial, truncated,
+                        pair, ball)
 
 
 def oracle_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
@@ -382,7 +386,7 @@ def oracle_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
         if truncated:
             break
     return oracle_finish(side, radius, elements, uf, depth, margin,
-                         truncated)
+                         truncated, ball=ball)
 
 
 def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
@@ -410,12 +414,18 @@ def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
         if truncated:
             break
     return oracle_finish(side, radius, pairs, uf, pair_depth, margin,
-                         truncated)
+                         truncated, pair=True, ball=ball)
+
+
+def oracle_lookup(qb):
+    """The element index that QuotientBall.lookup replaced: a dict from
+    each element of the ball to its class."""
+    return dict(zip(qb.elements, qb.class_of)).get
 
 
 def ball_fields(qb):
     return (qb.side, qb.radius, qb.elements, qb.class_of, qb.classes,
-            qb.partial, qb.truncated)
+            qb.partial, qb.truncated, qb.pair)
 
 
 @functools.lru_cache(maxsize=None)
@@ -449,20 +459,52 @@ def pair_ball_cases(draw):
 def test_pair_quotient_ball_matches_per_pair_oracle(case):
     ctx, k_gens, twist, radius, budget, margin = case
     alphabet = ctx.presentation.alphabet
-    got = pair_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
-                             margin=margin, twist=twist)
+    got = pair_quotient_ball(ctx.solver, ball_of(ctx, radius), k_gens,
+                             budget, margin=margin, twist=twist)
     want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, radius,
                                      budget, margin=margin, twist=twist)
     assert ball_fields(got) == ball_fields(want)
     assert got.pairs == want.elements
     assert all(got.lookup(p) == want.class_of[i]
                for i, p in enumerate(want.elements))
-    got = quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
+    got = quotient_ball(ctx.solver, ball_of(ctx, radius), k_gens, budget,
                         margin=margin)
     want = oracle_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
                                 margin=margin)
     assert ball_fields(got) == ball_fields(want)
     assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair_ball_cases(), st.data())
+def test_lookup_matches_element_dict(case, data):
+    # lookup reads ids from the Cayley ball's id map; the dict over the
+    # ball's elements must agree on every element and on words and pairs
+    # that leave the ball or are not in normal form
+    ctx, k_gens, twist, radius, budget, margin = case
+    ball = ball_of(ctx, radius)
+    word = st.lists(st.sampled_from(ctx.presentation.alphabet.letters),
+                    max_size=radius + 2).map(tuple)
+    probes = ball_of(ctx, radius + 1).vertices + data.draw(st.lists(word))
+    single = quotient_ball(ctx.solver, ball, k_gens, budget, margin=margin)
+    pairs = pair_quotient_ball(ctx.solver, ball, k_gens, budget,
+                               margin=margin, twist=twist)
+    assert any(single.lookup(x) is None for x in probes)
+    for qb, outside in ((single, probes),
+                        (pairs, list(zip(probes, probes[::-1])))):
+        find = oracle_lookup(qb)
+        for element in qb.elements + outside:
+            assert qb.lookup(element) == find(element)
+
+
+def test_lookup_on_one_vertex_ball(octx):
+    # at radius 0 the ball and its pair ball both have one element
+    ball = ball_of(octx, 0)
+    single = quotient_ball(octx.solver, ball, octx.a_images)
+    pairs = pair_quotient_ball(octx.solver, ball, octx.a_images)
+    assert single.lookup(EMPTY) == pairs.lookup((EMPTY, EMPTY)) == 0
+    assert single.lookup(w("a")) is None
+    assert pairs.lookup((EMPTY, w("a"))) is None
 
 
 @st.composite
@@ -505,7 +547,7 @@ def test_pair_quotient_ball_budget_cut(k, e, shift, twisted):
     twist = ({g: gens[(i + 1) % len(gens)] for i, g in enumerate(k_gens)}
              if twisted else None)
     alphabet, budget = ctx.presentation.alphabet, e * k + shift
-    got = pair_quotient_ball(ctx.solver, alphabet, k_gens, 2, budget,
+    got = pair_quotient_ball(ctx.solver, ball_of(ctx, 2), k_gens, budget,
                              margin=1, twist=twist)
     want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, 2,
                                      budget, margin=1, twist=twist)
@@ -514,10 +556,9 @@ def test_pair_quotient_ball_budget_cut(k, e, shift, twisted):
 
 
 def test_quotient_core_rejects_negative_margin(octx):
-    alphabet = octx.presentation.alphabet
     for build in (quotient_ball, pair_quotient_ball):
         with pytest.raises(ConstructionError):
-            build(octx.solver, alphabet, [w("a")], 2, margin=-1)
+            build(octx.solver, ball_of(octx, 2), [w("a")], margin=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -635,16 +676,17 @@ def test_op_forest_derivation(octx):
 
 
 def test_op_forest_resolver_matches_lookup(octx):
-    # the resolver finds a pair's class by id arithmetic; the ball's
-    # element index, which it no longer builds, must agree, also on words
-    # that leave the ball
+    # the resolver finds a pair's class by id arithmetic; the element
+    # index it no longer builds must agree, also on words that leave the
+    # ball
     g = bass_serre_forest_bi(octx, "otto_pride", 3, margin=1)
     d = op_forest_derivation(octx, g.edge_ball)
+    find = oracle_lookup(g.edge_ball)
     words = [w for w, _ in samples_from(octx, 4, 120, 3)]
     resolved = 0
     for x, y in zip(words, words[::-1]):
         payload = (x + ("t",), ("a",) + y)
-        want = g.edge_ball.lookup(tuple(map(octx.solver, payload)))
+        want = find(tuple(map(octx.solver, payload)))
         assert d.resolver(payload) == want
         resolved += want is not None
     assert 0 < resolved < len(words)
@@ -683,12 +725,12 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
                 not qb.partial[ci]))
     edges = []
     diagnostics = []
+    find1, find2 = oracle_lookup(qb1), oracle_lookup(qb2)
     for ci in range(len(qbw.classes)):
         members = [qbw.elements[i] for i in qbw.classes[ci]]
         x = members[0]
-        t1, t2 = qb1.lookup(x), qb2.lookup(x)
-        ok = all(qb1.lookup(y) == t1 and qb2.lookup(y) == t2
-                 for y in members)
+        t1, t2 = find1(x), find2(x)
+        ok = all(find1(y) == t1 and find2(y) == t2 for y in members)
         if not ok:
             diagnostics.append({
                 "kind": "edge_incidence_unresolved", "edge_class": ci})
@@ -714,11 +756,12 @@ def oracle_op_tree(ctx, radius, budget, margin):
     ]
     edges = []
     diagnostics = []
+    find = oracle_lookup(qbm)
     for ci in range(len(qba.classes)):
         members = [qba.elements[i] for i in qba.classes[ci]]
         x = members[0]
-        tails = {qbm.lookup(y) for y in members}
-        heads = {qbm.lookup(ctx.solver(y + (t,))) for y in members}
+        tails = {find(y) for y in members}
+        heads = {find(ctx.solver(y + (t,))) for y in members}
         interior = (not qba.partial[ci]
                     and len(tails) == 1 and len(heads) == 1
                     and None not in heads)
@@ -753,12 +796,12 @@ def oracle_amalgam_forest(ctx, radius, budget, margin):
                 side, ci, f"[{format_word(x)},{format_word(y)}]{side}",
                 not pq.partial[ci]))
     edges = []
+    find1, find2 = oracle_lookup(pq1), oracle_lookup(pq2)
     for ci in range(len(pqe.classes)):
         members = [pqe.pairs[i] for i in pqe.classes[ci]]
         p = members[0]
-        t1, t2 = pq1.lookup(p), pq2.lookup(p)
-        ok = all(pq1.lookup(q) == t1 and pq2.lookup(q) == t2
-                 for q in members)
+        t1, t2 = find1(p), find2(p)
+        ok = all(find1(q) == t1 and find2(q) == t2 for q in members)
         edges.append(BSEdge(
             ci, gid["M1", t1], gid["M2", t2],
             f"[{format_word(p[0])},{format_word(p[1])}]W",
@@ -784,13 +827,14 @@ def oracle_op_forest(ctx, radius, budget, margin):
         for ci in range(len(pqm.classes))
     ]
     edges = []
+    find = oracle_lookup(pqm)
     for ci in range(len(pqa.classes)):
         members = [pqa.pairs[i] for i in pqa.classes[ci]]
         tails = set()
         heads = set()
         for x, y in members:
-            tails.add(pqm.lookup((x, ctx.solver((t,) + y))))
-            heads.add(pqm.lookup((ctx.solver(x + (t,)), y)))
+            tails.add(find((x, ctx.solver((t,) + y))))
+            heads.add(find((ctx.solver(x + (t,)), y)))
         tails.discard(None)
         heads.discard(None)
         if not tails or not heads:
@@ -834,9 +878,9 @@ def member_leaves_ball(ctx, g, class_id):
     """Whether a member of an Otto-Pride forest edge class has an end
     outside the ball."""
     t = (ctx.spec.stable_letter,)
-    pqm = g.vertex_balls["M"]
-    return any(pqm.lookup((x, ctx.solver(t + y))) is None
-               or pqm.lookup((ctx.solver(x + t), y)) is None
+    find = oracle_lookup(g.vertex_balls["M"])
+    return any(find((x, ctx.solver(t + y))) is None
+               or find((ctx.solver(x + t), y)) is None
                for x, y in (g.edge_ball.elements[i]
                             for i in g.edge_ball.classes[class_id]))
 
@@ -895,6 +939,22 @@ def test_bass_serre_builder_matches_oracles(case):
                       for e, f in zip(got.edges, want.edges)]
         assert check_beta_section(got, d_got) == check_beta_section(
             want, d_want)
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
+@pytest.mark.parametrize("forest", [False, True])
+def test_each_graph_builds_one_cayley_ball(monkeypatch, kind, forest):
+    # every ball of a graph is built on the same Cayley ball
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return cayley_ball(*args)
+
+    monkeypatch.setattr(constructions, "cayley_ball", counted)
+    ctx, _ = ball_context(kind, 2, 3)
+    build_graph(kind, forest, ctx, 3, 10**6, 1)
+    assert len(calls) == 1
 
 
 def test_op_tree_reports_edges_it_leaves_out():
