@@ -346,15 +346,15 @@ def cmd_check_tree(args):
     g = _ball_from_args(args, p)
     rep = scc_condense(g)
     verdict = check_rooted_tree(rep)
-    ua = None
     try:
         sp = validate_special(p)
-        if len(sp.relators) == 1:
-            ua = compute_delta(sp, budget_limit=args.budget)
-            if not ua.certified:
-                ua = None
     except WordError:
-        pass
+        sp = None
+    ua = None
+    if sp is not None and len(sp.relators) == 1:
+        ua = compute_delta(sp, budget_limit=args.budget)
+        if not ua.certified:
+            ua = None
     violations = check_unique_entrance(g, rep, ua)
     payload = {
         "is_tree": {"verdict": verdict.value,

@@ -2,9 +2,12 @@
 invertibility certificates, minimal invertible words, the units and
 right-units presentations, lazy normalization, and the transversal order.
 
-The pipeline is Unknown-tolerant: invertibility of a word is semi-decidable,
-so searches prove or give up, and anything left uncertain is surfaced in the
-diagnostics instead of being guessed.
+A single relator is split into its minimal invertible pieces exactly, by
+Adjan's overlap splitting, with no search.  With several relators the
+pieces come from ball searches.  There the pipeline is Unknown-tolerant:
+invertibility of a word is semi-decidable, so searches prove or give up,
+and anything left uncertain is surfaced in the diagnostics instead of
+being guessed.
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ class NonCertifiedDeltaError(SpecialAnalysisError):
 
 class NotIrreducibleError(SpecialAnalysisError):
     pass
+
+
+class AnalysisInvariantError(Exception):
+    """An internal invariant of the analysis failed.  This is a bug, not
+    bad input, so it is neither a WordError nor an input error of the CLI."""
 
 
 @dataclass
@@ -161,6 +169,50 @@ def indecomposable_factorization(sp: SpecialPresentation, v: Word,
     return factors
 
 
+def adjan_factorization(relator: Word):
+    """The minimal invertible pieces of the relator r of <A | r=1>, by
+    Adjan's overlap splitting.  Returns the pieces of r, in order, and the
+    set of invertible words the splitting found.
+
+    The set starts as {r}, since r = 1 is a unit, and grows by two rules,
+    each sound in any monoid:
+    - overlap: a non-empty proper prefix p of a member u = px that is also
+      a suffix of a member v = yp is invertible, since p(x u^-1) = 1 and
+      (v^-1 y)p = 1;
+    - cut: cutting an invertible prefix p off a member u = px leaves the
+      unit x = p^-1 u, and cutting an invertible suffix p off u = xp leaves
+      x = u p^-1.
+    Every member is a factor of r, so the set stays finite.  At its fixed
+    point the pieces of r are its shortest prefixes in the set, taken one
+    after another; each rest is a member by the cut rule, so this never
+    sticks.  Adjan's theorem (Trudy MIAN 85, 1966; see Zhang, Math. Proc.
+    Camb. Phil. Soc. 112, 1992) says that for one relator these pieces are
+    the minimal invertible words: none has a proper invertible prefix."""
+    found = {relator}
+    while True:
+        heads, tails, cut = set(), set(), set()
+        for u in found:
+            for k in range(1, len(u)):
+                head, tail = u[:k], u[k:]
+                heads.add(head)
+                tails.add(tail)
+                if head in found:
+                    cut.add(tail)
+                if tail in found:
+                    cut.add(head)
+        new = ((heads & tails) | cut) - found
+        if not new:
+            break
+        found |= new
+    pieces = []
+    rest = relator
+    while rest:
+        k = next(k for k in range(1, len(rest) + 1) if rest[:k] in found)
+        pieces.append(rest[:k])
+        rest = rest[k:]
+    return tuple(pieces), found
+
+
 @dataclass
 class UnitsAnalysis:
     sp: SpecialPresentation
@@ -206,11 +258,13 @@ def compute_delta(sp: SpecialPresentation,
                   budget_limit=DEFAULT_BUDGET) -> UnitsAnalysis:
     """Minimal invertible words and their partition by equality in M.
 
-    Every relator is factored into indecomposable invertible words; the
-    candidates are all words up to the minimum relator length that certify
-    invertible, indecomposable, and provably equal to some minimal factor.
-    Candidates whose searches ran out of budget are listed in diagnostics
-    and mark the analysis non-certified.
+    Every relator is factored into indecomposable invertible words: one
+    relator by adjan_factorization, several by indecomposable_factorization.
+    The candidates are all words up to the minimum relator length that are
+    invertible (found by the splitting or certified in a unit ball),
+    indecomposable, and provably equal to some minimal factor.  Searches
+    that ran out of budget are listed in diagnostics and mark the analysis
+    non-certified.
     """
     ua = UnitsAnalysis(sp)
     alphabet = sp.alphabet
@@ -221,16 +275,21 @@ def compute_delta(sp: SpecialPresentation,
         ua._phi, ua._rep = {}, {}
         return ua
 
-    factor_lists = []
-    for rel in sp.relators:
-        try:
-            factor_lists.append(tuple(indecomposable_factorization(
-                sp, rel, budget_limit)))
-        except BudgetExhausted as e:
-            _flag(ua, "relator_factorization_stuck",
-                  relator=format_word(rel), position=e.partial["position"])
-            ua.certified = False
-            factor_lists.append((rel,))
+    if len(sp.relators) == 1:
+        pieces, found = adjan_factorization(sp.relators[0])
+        factor_lists = [pieces]
+    else:
+        found = set()
+        factor_lists = []
+        for rel in sp.relators:
+            try:
+                factor_lists.append(tuple(indecomposable_factorization(
+                    sp, rel, budget_limit)))
+            except BudgetExhausted as e:
+                _flag(ua, "relator_factorization_stuck",
+                      relator=format_word(rel), position=e.partial["position"])
+                ua.certified = False
+                factor_lists.append((rel,))
     ua.factors = tuple(factor_lists)
     minimal_factors = {f for fl in factor_lists for f in fl}
 
@@ -247,7 +306,7 @@ def compute_delta(sp: SpecialPresentation,
     for n in range(1, min_len + 1):
         candidates.extend(alphabet.words_of_length(n))
     index = _InverseIndex(ball, min_len)
-    invertible = {c for c in candidates if index.certify(c)}
+    invertible = {c for c in candidates if c in found or index.certify(c)}
     for c in candidates:
         if c not in invertible:
             continue
@@ -263,14 +322,14 @@ def compute_delta(sp: SpecialPresentation,
             delta.add(c)
     ua.delta = tuple(sorted(delta, key=alphabet.shortlex_key))
 
-    for f in minimal_factors:
+    for f in sorted(minimal_factors, key=alphabet.shortlex_key):
         if f not in delta:
             _flag(ua, "minimal_factor_outside_delta", word=format_word(f))
             ua.certified = False
     for u in ua.delta:
         for v in ua.delta:
             if u != v and v[:len(u)] == u:
-                raise SpecialAnalysisError(
+                raise AnalysisInvariantError(
                     f"delta is not a prefix code: {format_word(u)} prefixes "
                     f"{format_word(v)}")
 
@@ -441,12 +500,14 @@ def transversal_factor(ua: UnitsAnalysis, v: Word) -> TransversalFactorization:
     if normalize_special(ua, v) != v:
         raise NotIrreducibleError(format_word(v))
     I = set(ua.I)
+    longest = max(map(len, I), default=0)
     n = len(v)
     in_istar = [False] * (n + 1)
     in_istar[n] = True
     for i in range(n - 1, -1, -1):
         in_istar[i] = any(
-            v[i:j] in I and in_istar[j] for j in range(i + 1, n + 1))
+            in_istar[j] and v[i:j] in I
+            for j in range(i + 1, min(n, i + longest) + 1))
     cut = next(i for i in range(n + 1) if in_istar[i])
     return TransversalFactorization(v[:cut], v[cut:])
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoidkit import cli, constructions
+from monoidkit import cli, constructions, special
 from monoidkit.cayley import cayley_complex_chain
 from monoidkit.cli import main
 from monoidkit.homology import SparseIntMatrix
@@ -558,6 +558,39 @@ def test_internal_error_is_not_an_input_error(capsys, bicyclic_file,
     with pytest.raises(error):
         main(["parse", "--presentation", bicyclic_file])
     assert "input_error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze-special"],
+                                     ["check-tree", "--radius", "3"]])
+def test_non_prefix_delta_is_not_an_input_error(capsys, tmp_path,
+                                                monkeypatch, command):
+    # delta is a prefix code by construction; when that fails, the bug
+    # raises out of main instead of exiting 2, also under check-tree
+    class NonPrefixDelta(special.UnitsAnalysis):
+        def __setattr__(self, name, value):
+            if name == "delta" and value:
+                value = value + (value[0] * 2,)
+            super().__setattr__(name, value)
+
+    f = tmp_path / "involution.txt"
+    f.write_text("letters: a\nrel: a a = 1\n")
+    monkeypatch.setattr(special, "UnitsAnalysis", NonPrefixDelta)
+    with pytest.raises(special.AnalysisInvariantError) as e:
+        main(command + ["--presentation", str(f)])
+    assert not isinstance(e.value, cli.INPUT_ERRORS)
+    assert "input_error" not in capsys.readouterr().err
+
+
+def test_check_tree_does_not_hide_analysis_errors(capsys, bicyclic_file,
+                                                  monkeypatch):
+    # only validate_special may fail quietly: an analysis error surfaces
+    def broken(sp, budget_limit):
+        raise special.UnitsNotCompletedError("units system is not completed")
+
+    monkeypatch.setattr(cli, "compute_delta", broken)
+    assert main(["check-tree", "--presentation", bicyclic_file,
+                 "--radius", "3"]) == 2
+    assert "UnitsNotCompletedError" in capsys.readouterr().err
 
 
 def test_undecodable_file_is_input_error(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from monoidkit.special import (
     UnitsNotCompletedError,
     _InverseIndex,
     _unit_ball,
+    adjan_factorization,
     certify_invertible,
     compute_delta,
     compute_I_I0,
@@ -111,6 +114,97 @@ def test_indecomposable_factorization_stuck():
     with pytest.raises(BudgetExhausted) as e:
         indecomposable_factorization(BICYCLIC, w("ba"))
     assert e.value.partial["position"] == 0
+
+
+@pytest.mark.parametrize("relator, pieces", [
+    ("aaba", ["a", "a", "b", "a"]),
+    ("abab", ["ab", "ab"]),
+    ("ab", ["ab"]),
+    ("aa", ["a", "a"]),
+    ("abbbaab", ["a", "b", "b", "b", "a", "a", "b"]),
+])
+def test_adjan_factorization_pinned(relator, pieces):
+    got, found = adjan_factorization(w(relator))
+    assert got == tuple(map(w, pieces))
+    assert set(got) <= found and w(relator) in found
+
+
+def test_adjan_splits_every_overlap():
+    # aaba: the border a is invertible, so are the cuts aba and aab, their
+    # overlap ab, and the cuts of those: b, ba and aa
+    _, found = adjan_factorization(w("aaba"))
+    assert found == set(map(w, ["aaba", "a", "aba", "aab", "ab", "b", "ba",
+                                "aa"]))
+
+
+def _relators(max_size):
+    return st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just("abc"[:k]),
+        st.text(alphabet="abc"[:k], min_size=1, max_size=max_size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relators(9))
+def test_adjan_pieces_agree_with_unit_balls(case):
+    # every prefix that a unit ball proves invertible ends at a piece
+    # boundary, so the ball is never finer; every piece certifies in the
+    # first closed ball that is long enough to hold its proof, and none is
+    # refuted where the monoid has a finite complete system
+    letters, relator = case
+    p = _special(letters, [relator])
+    r = w(relator)
+    pieces, _ = adjan_factorization(r)
+    assert sum(pieces, EMPTY) == r
+    ends = set(itertools.accumulate(map(len, pieces)))
+    for k in range(1, len(r) + 1):
+        if certify_invertible(p, r[:k], 3000).proven:
+            assert k in ends, (relator, k, pieces)
+    system = knuth_bendix(orient_system(p.base), 3000).system
+    for piece in set(pieces):
+        assert not certify_invertible(p, piece, 1, system).refuted
+        for m in range(2, 9):
+            ball, closed = _unit_ball(p, 2 * len(piece) + m * len(r),
+                                      Budget(5000))
+            if not closed or _InverseIndex(ball, len(piece)).certify(piece):
+                break
+        else:
+            pytest.fail(f"{piece} of {relator} never certifies")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relators(9), st.integers(1, 3000))
+def test_one_relator_delta_never_sticks(case, budget):
+    # every piece is invertible and indecomposable, so it lands in delta
+    # and the relator parses, at any budget
+    letters, relator = case
+    ua = compute_delta(_special(letters, [relator]), budget)
+    assert ua.factors == (adjan_factorization(w(relator))[0],)
+    assert set(ua.factors[0]) <= set(ua.delta)
+    kinds = {d["kind"] for d in ua.diagnostics}
+    assert not kinds & {"relator_factorization_stuck",
+                        "minimal_factor_outside_delta",
+                        "relator_not_delta_parseable"}
+
+
+@pytest.mark.parametrize("relators", [["abcb", "c", "caacab"],
+                                      ["abbac", "abac", "caabb"]])
+def test_factors_outside_delta_flagged_in_shortlex_order(relators):
+    # the flags used to follow the set order of the factors, which changes
+    # with the string hash seed from one process to the next
+    p = _special("abc", relators)
+    flagged = [d["word"] for d in compute_delta(p, 2000).diagnostics
+               if d["kind"] == "minimal_factor_outside_delta"]
+    words = [tuple(f.split()) for f in flagged]
+    assert len(words) == 3
+    assert words == sorted(words, key=p.alphabet.shortlex_key)
+
+
+def test_delta_of_aaba_is_certified():
+    # the unit ball alone certifies a but not b = a^-3; the splitting does
+    ua = compute_delta(sp("letters: a b\nrel: a a b a = 1"))
+    assert ua.delta == (w("a"), w("b"))
+    assert ua.factors == ((w("a"), w("a"), w("b"), w("a")),)
+    assert ua.certified and ua.diagnostics == []
 
 
 def test_delta_bicyclic(ua_bicyclic):
@@ -258,6 +352,47 @@ def test_transversal_factor_unique(ua_bicyclic):
                     wp[len(wp) - k:] in I for k in range(1, len(wp) + 1)):
                 valid.append((wp, up))
         assert valid == [(got.w_part, got.u_part)]
+
+
+def _transversal_by_full_scan(ua, v):
+    """The former scan, kept as the oracle for transversal_factor: every
+    slice v[i:j] is tested against I, with no bound on its length."""
+    I = set(ua.I)
+    n = len(v)
+    in_istar = [False] * (n + 1)
+    in_istar[n] = True
+    for i in range(n - 1, -1, -1):
+        in_istar[i] = any(
+            v[i:j] in I and in_istar[j] for j in range(i + 1, n + 1))
+    cut = next(i for i in range(n + 1) if in_istar[i])
+    return special.TransversalFactorization(v[:cut], v[cut:])
+
+
+@pytest.fixture(scope="module")
+def certified_analyses(ua_bicyclic, ua_involution, ua_squared):
+    extra = [compute_delta(sp(f"letters: a b\nrel: {r} = 1"))
+             for r in ("a a b a", "a b b", "a a b b")]
+    return [ua for ua in (ua_bicyclic, ua_involution, ua_squared, *extra)
+            if ua.certified and ua.units_completed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.text(alphabet="ab", max_size=14))
+def test_transversal_factor_matches_full_scan(certified_analyses, pick,
+                                              text):
+    ua = certified_analyses[pick % len(certified_analyses)]
+    letters = ua.sp.alphabet.letters
+    v = normalize_special(ua, tuple(letters[0] if c == "a" else letters[-1]
+                                    for c in text))
+    assert transversal_factor(ua, v) == _transversal_by_full_scan(ua, v)
+
+
+def test_transversal_factor_on_a_long_path():
+    # <a, b | b = 1>: I = {b}, and irreducible words are powers of a
+    ua = compute_delta(sp("letters: a b\nrel: b = 1"))
+    v = w("a") * 3000
+    assert transversal_factor(ua, v) == special.TransversalFactorization(
+        v, EMPTY)
 
 
 def test_irreducible_concat_stays_irreducible(ua_bicyclic, ua_involution):
