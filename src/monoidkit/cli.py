@@ -36,7 +36,6 @@ from .rewriting import (
     orient_system,
 )
 from .special import (
-    SpecialAnalysisError,
     compute_delta,
     right_units_presentation,
     torsion_flag,
@@ -80,10 +79,10 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-# what a bad input raises; any other exception is a bug and not exit 2
+# what a bad input raises; any other exception is a bug and not exit 2.
+# SpecialAnalysisError and ConstructionError are WordErrors.
 INPUT_ERRORS = (WordError, RewritingError, CayleyError, HomologyError,
-                SpecialAnalysisError, ConstructionError, OSError,
-                json.JSONDecodeError, UnicodeDecodeError)
+                OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _diag(kind, **details):

@@ -2,9 +2,9 @@
 invertibility certificates, minimal invertible words, the units and
 right-units presentations, lazy normalization, and the transversal order.
 
-A single relator is split into its minimal invertible pieces exactly, by
-Adjan's overlap splitting, with no search.  With several relators the
-pieces come from ball searches.  There the pipeline is Unknown-tolerant:
+The relators are split into invertible pieces by Adjan's overlap
+splitting, with no search; for one relator the pieces are exactly the
+minimal invertible words.  The rest of the pipeline is Unknown-tolerant:
 invertibility of a word is semi-decidable, so searches prove or give up,
 and anything left uncertain is surfaced in the diagnostics instead of
 being guessed.
@@ -117,7 +117,10 @@ def _longest_relator(sp: SpecialPresentation) -> int:
 def certify_invertible(sp: SpecialPresentation, u: Word,
                        budget_limit=DEFAULT_BUDGET, system=None) -> Verdict:
     """Search for a right inverse v (uv = 1) and a left inverse v' (v'u = 1)
-    inside a budgeted ball around the empty word.
+    inside a budgeted ball around the empty word.  The ball holds words of
+    length at most 2|u| + 2 * (longest relator), so a closed ball can still
+    miss an invertible u whose proof needs longer words: b in <a,b | aaba=1>
+    is a^-3, and its proof needs a cap of 12, not 10.
 
     Refuted is only possible when a completed rewriting system for the monoid
     is supplied: if the normal form of u begins with a letter that no rule's
@@ -146,77 +149,66 @@ def _dead_letter(system: RewriteSystem, nf: Word) -> bool:
     return not first_live or not last_live
 
 
-def indecomposable_factorization(sp: SpecialPresentation, v: Word,
-                                 budget_limit=DEFAULT_BUDGET):
-    """Split v by repeatedly removing the shortest prefix that certifies
-    invertible.  Raises BudgetExhausted (carrying the stuck position and
-    the factors found so far) if some suffix has no certifiable prefix."""
-    factors = []
-    pos = 0
-    rest = v
-    while rest:
-        split = None
-        for k in range(1, len(rest) + 1):
-            verdict = certify_invertible(sp, rest[:k], budget_limit)
-            if verdict.proven:
-                split = k
-                break
-        if split is None:
-            raise BudgetExhausted({"position": pos, "factors": factors})
-        factors.append(rest[:split])
-        rest = rest[split:]
-        pos += split
-    return factors
+def adjan_factorization(relators):
+    """The invertible pieces of the relators of <A | R=1>, by Adjan's
+    overlap splitting.  Returns one tuple of pieces per relator, in order,
+    and the set of invertible words the splitting found.
 
-
-def adjan_factorization(relator: Word):
-    """The minimal invertible pieces of the relator r of <A | r=1>, by
-    Adjan's overlap splitting.  Returns the pieces of r, in order, and the
-    set of invertible words the splitting found.
-
-    The set starts as {r}, since r = 1 is a unit, and grows by two rules,
-    each sound in any monoid:
+    The set starts as R, since each r = 1 is a unit, and grows by three
+    rules, each sound in any monoid:
     - overlap: a non-empty proper prefix p of a member u = px that is also
       a suffix of a member v = yp is invertible, since p(x u^-1) = 1 and
       (v^-1 y)p = 1;
     - cut: cutting an invertible prefix p off a member u = px leaves the
       unit x = p^-1 u, and cutting an invertible suffix p off u = xp leaves
-      x = u p^-1.
-    Every member is a factor of r, so the set stays finite.  At its fixed
-    point the pieces of r are its shortest prefixes in the set, taken one
-    after another; each rest is a member by the cut rule, so this never
-    sticks.  Adjan's theorem (Trudy MIAN 85, 1966; see Zhang, Math. Proc.
-    Camb. Phil. Soc. 112, 1992) says that for one relator these pieces are
-    the minimal invertible words: none has a proper invertible prefix."""
-    found = {relator}
+      x = u p^-1;
+    - delete: removing one occurrence of a relator r from a member u = xry
+      leaves the unit xy = u, since r = 1.
+    No rule makes a word longer, so no member is longer than the longest
+    relator and the set stays finite.  At its fixed point the pieces of a
+    relator are its shortest prefixes in the set, taken one after another;
+    each rest is a member by the cut rule, so this never sticks.  For one
+    relator every member is a factor of r, so delete never fires, and
+    Adjan's theorem (Trudy MIAN 85, 1966; see Zhang, Math. Proc. Camb.
+    Phil. Soc. 112, 1992) says the pieces are the minimal invertible
+    words: none has a proper invertible prefix.  With several relators the
+    pieces are sound but need not be minimal."""
+    found = set(relators)
     while True:
-        heads, tails, cut = set(), set(), set()
+        heads, tails, units = set(), set(), set()
         for u in found:
             for k in range(1, len(u)):
                 head, tail = u[:k], u[k:]
                 heads.add(head)
                 tails.add(tail)
                 if head in found:
-                    cut.add(tail)
+                    units.add(tail)
                 if tail in found:
-                    cut.add(head)
-        new = ((heads & tails) | cut) - found
+                    units.add(head)
+            for r in relators:
+                if len(r) < len(u):
+                    units.update(u[:i] + u[i + len(r):]
+                                 for i in range(len(u) - len(r) + 1)
+                                 if u[i:i + len(r)] == r)
+        new = ((heads & tails) | units) - found
         if not new:
             break
         found |= new
-    pieces = []
-    rest = relator
-    while rest:
-        k = next(k for k in range(1, len(rest) + 1) if rest[:k] in found)
-        pieces.append(rest[:k])
-        rest = rest[k:]
-    return tuple(pieces), found
+    factors = []
+    for rest in relators:
+        pieces = []
+        while rest:
+            k = next(k for k in range(1, len(rest) + 1) if rest[:k] in found)
+            pieces.append(rest[:k])
+            rest = rest[k:]
+        factors.append(tuple(pieces))
+    return tuple(factors), found
 
 
 @dataclass
 class UnitsAnalysis:
     sp: SpecialPresentation
-    factors: tuple = ()            # per relator, its minimal-factor sequence
+    factors: tuple = ()            # per relator, its pieces in order
     delta: tuple = ()              # sorted minimal invertible words
     partition: tuple = ()          # classes of delta, each sorted
     representatives: tuple = ()    # shortlex-least member per class
@@ -258,42 +250,20 @@ def compute_delta(sp: SpecialPresentation,
                   budget_limit=DEFAULT_BUDGET) -> UnitsAnalysis:
     """Minimal invertible words and their partition by equality in M.
 
-    Every relator is factored into indecomposable invertible words: one
-    relator by adjan_factorization, several by indecomposable_factorization.
+    The relators are split into invertible pieces by adjan_factorization.
     The candidates are all words up to the minimum relator length that are
-    invertible (found by the splitting or certified in a unit ball),
-    indecomposable, and provably equal to some minimal factor.  Searches
-    that ran out of budget are listed in diagnostics and mark the analysis
+    invertible (found by the splitting or certified in one unit ball),
+    indecomposable, and provably equal to some piece.  A piece outside
+    delta, a search that ran out of budget, or a relator that does not
+    parse over delta is listed in diagnostics and marks the analysis
     non-certified.
     """
     ua = UnitsAnalysis(sp)
     alphabet = sp.alphabet
-    if not sp.relators:
-        ua.b_alphabet = Alphabet(())
-        ua.units_system = RewriteSystem(ua.b_alphabet, (), COMPLETE)
-        ua.units_completed = True
-        ua._phi, ua._rep = {}, {}
-        return ua
+    ua.factors, found = adjan_factorization(sp.relators)
+    pieces = {f for fl in ua.factors for f in fl}
 
-    if len(sp.relators) == 1:
-        pieces, found = adjan_factorization(sp.relators[0])
-        factor_lists = [pieces]
-    else:
-        found = set()
-        factor_lists = []
-        for rel in sp.relators:
-            try:
-                factor_lists.append(tuple(indecomposable_factorization(
-                    sp, rel, budget_limit)))
-            except BudgetExhausted as e:
-                _flag(ua, "relator_factorization_stuck",
-                      relator=format_word(rel), position=e.partial["position"])
-                ua.certified = False
-                factor_lists.append((rel,))
-    ua.factors = tuple(factor_lists)
-    minimal_factors = {f for fl in factor_lists for f in fl}
-
-    min_len = min(len(r) for r in sp.relators)
+    min_len = min((len(r) for r in sp.relators), default=0)
     budget = Budget(budget_limit)
     cap = 2 * min_len + 2 * _longest_relator(sp)
     ball, closed = _unit_ball(sp, cap, budget)
@@ -313,7 +283,7 @@ def compute_delta(sp: SpecialPresentation,
         if any(c[:k] in invertible for k in range(1, len(c))):
             continue  # decomposable
         hit = False
-        for f in sorted(minimal_factors, key=alphabet.shortlex_key):
+        for f in sorted(pieces, key=alphabet.shortlex_key):
             v = equal_words(sp.base, c, f, budget_limit)
             if v.proven:
                 hit = True
@@ -322,7 +292,7 @@ def compute_delta(sp: SpecialPresentation,
             delta.add(c)
     ua.delta = tuple(sorted(delta, key=alphabet.shortlex_key))
 
-    for f in sorted(minimal_factors, key=alphabet.shortlex_key):
+    for f in sorted(pieces, key=alphabet.shortlex_key):
         if f not in delta:
             _flag(ua, "minimal_factor_outside_delta", word=format_word(f))
             ua.certified = False

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from monoidkit import special
 from monoidkit.words import EMPTY, parse_presentation, validate_special
 from monoidkit.rewriting import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExhausted,
     _witness_path,
@@ -15,6 +16,7 @@ from monoidkit.rewriting import (
 )
 from monoidkit.special import (
     InvertibilityCertificate,
+    NonCertifiedDeltaError,
     NotIrreducibleError,
     NotOneRelatorError,
     UnitsNotCompletedError,
@@ -24,7 +26,6 @@ from monoidkit.special import (
     certify_invertible,
     compute_delta,
     compute_I_I0,
-    indecomposable_factorization,
     loop_generators,
     normalize_special,
     r_order_leq,
@@ -104,6 +105,26 @@ def test_certify_refuted_with_completed_system():
     assert certify_invertible(INVOLUTION, w("aaa"), system=s).proven
 
 
+def indecomposable_factorization(sp, v, budget_limit=DEFAULT_BUDGET):
+    """The former per-prefix search, kept as the oracle for the splitting of
+    several relators: split v by repeatedly removing the shortest prefix
+    that certifies invertible.  Raises BudgetExhausted (carrying the stuck
+    position and the factors found so far) if some suffix has no
+    certifiable prefix."""
+    factors = []
+    pos = 0
+    rest = v
+    while rest:
+        split = next((k for k in range(1, len(rest) + 1) if certify_invertible(
+            sp, rest[:k], budget_limit).proven), None)
+        if split is None:
+            raise BudgetExhausted({"position": pos, "factors": factors})
+        factors.append(rest[:split])
+        rest = rest[split:]
+        pos += split
+    return factors
+
+
 def test_indecomposable_factorization():
     assert indecomposable_factorization(INVOLUTION, w("aa")) == [w("a"), w("a")]
     assert indecomposable_factorization(BICYCLIC, w("ab")) == [w("ab")]
@@ -124,7 +145,7 @@ def test_indecomposable_factorization_stuck():
     ("abbbaab", ["a", "b", "b", "b", "a", "a", "b"]),
 ])
 def test_adjan_factorization_pinned(relator, pieces):
-    got, found = adjan_factorization(w(relator))
+    (got,), found = adjan_factorization((w(relator),))
     assert got == tuple(map(w, pieces))
     assert set(got) <= found and w(relator) in found
 
@@ -132,7 +153,7 @@ def test_adjan_factorization_pinned(relator, pieces):
 def test_adjan_splits_every_overlap():
     # aaba: the border a is invertible, so are the cuts aba and aab, their
     # overlap ab, and the cuts of those: b, ba and aa
-    _, found = adjan_factorization(w("aaba"))
+    _, found = adjan_factorization((w("aaba"),))
     assert found == set(map(w, ["aaba", "a", "aba", "aab", "ab", "b", "ba",
                                 "aa"]))
 
@@ -153,7 +174,7 @@ def test_adjan_pieces_agree_with_unit_balls(case):
     letters, relator = case
     p = _special(letters, [relator])
     r = w(relator)
-    pieces, _ = adjan_factorization(r)
+    (pieces,), _ = adjan_factorization((r,))
     assert sum(pieces, EMPTY) == r
     ends = set(itertools.accumulate(map(len, pieces)))
     for k in range(1, len(r) + 1):
@@ -178,7 +199,7 @@ def test_one_relator_delta_never_sticks(case, budget):
     # and the relator parses, at any budget
     letters, relator = case
     ua = compute_delta(_special(letters, [relator]), budget)
-    assert ua.factors == (adjan_factorization(w(relator))[0],)
+    assert ua.factors == adjan_factorization((w(relator),))[0]
     assert set(ua.factors[0]) <= set(ua.delta)
     kinds = {d["kind"] for d in ua.diagnostics}
     assert not kinds & {"relator_factorization_stuck",
@@ -186,8 +207,62 @@ def test_one_relator_delta_never_sticks(case, budget):
                         "relator_not_delta_parseable"}
 
 
-@pytest.mark.parametrize("relators", [["abcb", "c", "caacab"],
-                                      ["abbac", "abac", "caabb"]])
+def _cuts(factors):
+    return set(itertools.accumulate(map(len, factors)))
+
+
+def test_splitting_is_sound_and_never_coarser_than_the_ball_loop():
+    # all 435 pairs of distinct {a,b}-words of length 1-4: no piece is
+    # refuted where the monoid has a finite complete system, and wherever
+    # the per-prefix ball loop does not stick, each of its cuts is a cut of
+    # the splitting
+    words = [w(x) for n in range(1, 5) for x in map(
+        "".join, itertools.product("ab", repeat=n))]
+    pairs = list(itertools.combinations(words, 2))
+    assert len(pairs) == 435
+    for pair in pairs:
+        p = _special("ab", pair)
+        factors, _ = adjan_factorization(pair)
+        system = knuth_bendix(orient_system(p.base), 3000).system
+        for r, pieces in zip(pair, factors):
+            assert sum(pieces, EMPTY) == r
+            for piece in set(pieces):
+                assert not certify_invertible(p, piece, 1, system).refuted
+        try:
+            loop = [indecomposable_factorization(p, r, 3000) for r in pair]
+        except BudgetExhausted:
+            continue
+        for oracle, pieces in zip(loop, factors):
+            assert _cuts(oracle) <= _cuts(pieces), (pair, oracle, pieces)
+
+
+def test_delete_splits_a_relator_inside_another():
+    # ba occurs in bbbaa but not as a border; deleting it leaves the unit
+    # bba, cutting ba off bba leaves b, and cutting b off ba leaves a
+    factors, found = adjan_factorization((w("bbbaa"), w("ba")))
+    assert factors == (tuple(map(w, "bbbaa")), (w("b"), w("a")))
+    assert w("bba") in found
+
+
+def test_delta_of_aaba_and_cc_is_certified():
+    # the ball loop found only a and c: b = a^-3 needs a longer ball
+    ua = compute_delta(_special("abc", ["aaba", "cc"]))
+    assert ua.delta == (w("a"), w("b"), w("c"))
+    assert ua.certified and ua.diagnostics == []
+
+
+def test_non_certified_delta_refuses_normal_forms():
+    # at budget 3 the unit ball truncates, but the units still complete
+    ua = compute_delta(BICYCLIC, 3)
+    assert not ua.certified and ua.units_completed
+    with pytest.raises(NonCertifiedDeltaError):
+        normalize_special(ua, w("ab"))
+    with pytest.raises(NonCertifiedDeltaError):
+        transversal_factor(ua, w("b"))
+
+
+@pytest.mark.parametrize("relators", [["b", "cbaca", "cbcaa"],
+                                      ["a", "bbcca", "bacbc"]])
 def test_factors_outside_delta_flagged_in_shortlex_order(relators):
     # the flags used to follow the set order of the factors, which changes
     # with the string hash seed from one process to the next
