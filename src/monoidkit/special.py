@@ -117,10 +117,7 @@ def _longest_relator(sp: SpecialPresentation) -> int:
 def certify_invertible(sp: SpecialPresentation, u: Word,
                        budget_limit=DEFAULT_BUDGET, system=None) -> Verdict:
     """Search for a right inverse v (uv = 1) and a left inverse v' (v'u = 1)
-    inside a budgeted ball around the empty word.  The ball holds words of
-    length at most 2|u| + 2 * (longest relator), so a closed ball can still
-    miss an invertible u whose proof needs longer words: b in <a,b | aaba=1>
-    is a^-3, and its proof needs a cap of 12, not 10.
+    inside a budgeted ball around the empty word.
 
     Refuted is only possible when a completed rewriting system for the monoid
     is supplied: if the normal form of u begins with a letter that no rule's
@@ -149,7 +146,7 @@ def _dead_letter(system: RewriteSystem, nf: Word) -> bool:
     return not first_live or not last_live
 
 
-def adjan_factorization(relators):
+def adjan_factorization(relators, budget_limit=DEFAULT_BUDGET):
     """The invertible pieces of the relators of <A | R=1>, by Adjan's
     overlap splitting.  Returns one tuple of pieces per relator, in order,
     and the set of invertible words the splitting found.
@@ -164,36 +161,55 @@ def adjan_factorization(relators):
       x = u p^-1;
     - delete: removing one occurrence of a relator r from a member u = xry
       leaves the unit xy = u, since r = 1.
-    No rule makes a word longer, so no member is longer than the longest
-    relator and the set stays finite.  At its fixed point the pieces of a
-    relator are its shortest prefixes in the set, taken one after another;
-    each rest is a member by the cut rule, so this never sticks.  For one
-    relator every member is a factor of r, so delete never fires, and
-    Adjan's theorem (Trudy MIAN 85, 1966; see Zhang, Math. Proc. Camb.
-    Phil. Soc. 112, 1992) says the pieces are the minimal invertible
-    words: none has a proper invertible prefix.  With several relators the
-    pieces are sound but need not be minimal."""
-    found = set(relators)
-    while True:
-        heads, tails, units = set(), set(), set()
-        for u in found:
-            for k in range(1, len(u)):
-                head, tail = u[:k], u[k:]
-                heads.add(head)
-                tails.add(tail)
-                if head in found:
-                    units.add(tail)
-                if tail in found:
-                    units.add(head)
-            for r in relators:
-                if len(r) < len(u):
-                    units.update(u[:i] + u[i + len(r):]
-                                 for i in range(len(u) - len(r) + 1)
-                                 if u[i:i + len(r)] == r)
-        new = ((heads & tails) | units) - found
-        if not new:
-            break
-        found |= new
+    No rule makes a word longer, so the set is finite, but delete can make
+    it exponential (every subsequence of (ab)^20 when a = 1 and b = 1).  So
+    a member that is not a factor of a relator costs its length in budget
+    steps; past the budget such words are left out and BudgetExhausted
+    carries (pieces, set).  The pieces of a relator are its shortest
+    prefixes in the set, one after another; each rest is a factor of the
+    relator, so a member by the cut rule, and this never sticks.  For one
+    relator delete never fires and nothing is charged, and Adjan's theorem
+    (Trudy MIAN 85, 1966; see Zhang, Math. Proc. Camb. Phil. Soc. 112,
+    1992) says the pieces are the minimal invertible words.  With several
+    relators they need not be minimal."""
+    budget = Budget(budget_limit)
+    free = {r[i:j] for r in relators for j in range(len(r) + 1)
+            for i in range(j)}
+    todo = list(dict.fromkeys(relators))
+    found, by_head, by_tail, truncated = set(todo), {}, {}, False
+
+    def add(u):
+        nonlocal truncated
+        if u not in found and (u in free or budget.spend(len(u))):
+            found.add(u)
+            todo.append(u)
+        elif u not in found:
+            truncated = True
+
+    # each member is taken once: cut it off the members it begins or ends,
+    # delete each relator from it, and index it by its heads and tails
+    while todo:
+        u = todo.pop()
+        for v in by_head.get(u, ()):
+            add(v[len(u):])
+        for v in by_tail.get(u, ()):
+            add(v[:len(v) - len(u)])
+        for s in relators:
+            for i in range(len(u) - len(s) + 1 if len(s) < len(u) else 0):
+                if u[i:i + len(s)] == s:
+                    add(u[:i] + u[i + len(s):])
+        for k in range(1, len(u)):
+            head, tail = u[:k], u[k:]
+            if head not in by_head and head in by_tail:
+                add(head)
+            by_head.setdefault(head, []).append(u)
+            if tail not in by_tail and tail in by_head:
+                add(tail)
+            by_tail.setdefault(tail, []).append(u)
+            if head in found:
+                add(tail)
+            if tail in found:
+                add(head)
     factors = []
     for rest in relators:
         pieces = []
@@ -202,6 +218,8 @@ def adjan_factorization(relators):
             pieces.append(rest[:k])
             rest = rest[k:]
         factors.append(tuple(pieces))
+    if truncated:
+        raise BudgetExhausted((tuple(factors), found))
     return tuple(factors), found
 
 
@@ -260,8 +278,12 @@ def compute_delta(sp: SpecialPresentation,
     """
     ua = UnitsAnalysis(sp)
     alphabet = sp.alphabet
-    ua.factors, found = adjan_factorization(sp.relators)
-    pieces = {f for fl in ua.factors for f in fl}
+    try:
+        ua.factors, found = adjan_factorization(sp.relators, budget_limit)
+    except BudgetExhausted as e:
+        ua.factors, found = e.partial
+        _flag(ua, "relator_splitting_truncated")
+        ua.certified = False
 
     min_len = min((len(r) for r in sp.relators), default=0)
     budget = Budget(budget_limit)
@@ -275,6 +297,8 @@ def compute_delta(sp: SpecialPresentation,
     candidates = []
     for n in range(1, min_len + 1):
         candidates.extend(alphabet.words_of_length(n))
+    pieces = sorted({f for fl in ua.factors for f in fl},
+                    key=alphabet.shortlex_key)
     index = _InverseIndex(ball, min_len)
     invertible = {c for c in candidates if c in found or index.certify(c)}
     for c in candidates:
@@ -282,17 +306,12 @@ def compute_delta(sp: SpecialPresentation,
             continue
         if any(c[:k] in invertible for k in range(1, len(c))):
             continue  # decomposable
-        hit = False
-        for f in sorted(pieces, key=alphabet.shortlex_key):
-            v = equal_words(sp.base, c, f, budget_limit)
-            if v.proven:
-                hit = True
-                break
-        if hit:
+        if any(equal_words(sp.base, c, f, budget_limit).proven
+               for f in pieces):
             delta.add(c)
     ua.delta = tuple(sorted(delta, key=alphabet.shortlex_key))
 
-    for f in sorted(pieces, key=alphabet.shortlex_key):
+    for f in pieces:
         if f not in delta:
             _flag(ua, "minimal_factor_outside_delta", word=format_word(f))
             ua.certified = False

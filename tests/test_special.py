@@ -196,13 +196,15 @@ def test_adjan_pieces_agree_with_unit_balls(case):
 @given(_relators(9), st.integers(1, 3000))
 def test_one_relator_delta_never_sticks(case, budget):
     # every piece is invertible and indecomposable, so it lands in delta
-    # and the relator parses, at any budget
+    # and the relator parses, at any budget; nothing is deleted, so the
+    # splitting is never cut short
     letters, relator = case
     ua = compute_delta(_special(letters, [relator]), budget)
     assert ua.factors == adjan_factorization((w(relator),))[0]
     assert set(ua.factors[0]) <= set(ua.delta)
     kinds = {d["kind"] for d in ua.diagnostics}
     assert not kinds & {"relator_factorization_stuck",
+                        "relator_splitting_truncated",
                         "minimal_factor_outside_delta",
                         "relator_not_delta_parseable"}
 
@@ -242,6 +244,39 @@ def test_delete_splits_a_relator_inside_another():
     factors, found = adjan_factorization((w("bbbaa"), w("ba")))
     assert factors == (tuple(map(w, "bbbaa")), (w("b"), w("a")))
     assert w("bba") in found
+
+
+def test_splitting_of_one_letter_relators_stays_in_budget():
+    # deleting a and b reaches every subsequence of (ab)^20, about F(42)
+    # words; past the budget the splitting stops deleting, and every
+    # relator still splits, since each rest is a factor of its relator
+    rels = tuple(map(w, ["a", "b", "ab" * 20]))
+    with pytest.raises(BudgetExhausted) as e:
+        adjan_factorization(rels, 1000)
+    factors, found = e.value.partial
+    assert factors == ((w("a"),), (w("b"),), tuple(map(w, "ab" * 20)))
+    free = {r[i:j] for r in rels for j in range(41) for i in range(j)}
+    assert len(found - free) <= 1000
+    ua = compute_delta(_special("ab", ["a", "b", "ab" * 20]), 1000)
+    assert ua.delta == (w("a"), w("b")) and not ua.certified
+    assert ua.diagnostics[0] == {"kind": "relator_splitting_truncated"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=8),
+                min_size=2, max_size=4), st.integers(0, 200))
+def test_truncated_splitting_is_coarser_and_never_sticks(relators, budget):
+    # the set at a small budget is part of the full set, so each of its
+    # cuts is a cut of the full splitting
+    rels = tuple(map(w, relators))
+    full, _ = adjan_factorization(rels)
+    try:
+        factors, _ = adjan_factorization(rels, budget)
+    except BudgetExhausted as e:
+        factors, _ = e.partial
+    for r, pieces, finer in zip(rels, factors, full):
+        assert sum(pieces, EMPTY) == r
+        assert _cuts(pieces) <= _cuts(finer)
 
 
 def test_delta_of_aaba_and_cc_is_certified():
