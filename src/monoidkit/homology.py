@@ -250,25 +250,6 @@ def smith_normal_form(m: SparseIntMatrix) -> SmithForm:
     return SmithForm(diag, len(diag))
 
 
-@dataclass
-class InjectivityCertificate:
-    rank: int
-    edge_count: int
-    kernel: list = None
-
-
-def check_boundary_injective(m: SparseIntMatrix):
-    """Proven iff rank equals the number of columns (edges); a Refuted
-    verdict carries an explicit kernel vector."""
-    from .rewriting import Verdict
-
-    r = rank_exact(m)
-    if r == m.cols:
-        return Verdict("proven", [InjectivityCertificate(r, m.cols)], 0)
-    ker = kernel_vector(m)
-    return Verdict("refuted", [InjectivityCertificate(r, m.cols, ker)], 0)
-
-
 def _require_zero_composites(maps):
     """maps run from the top degree down; each composite must vanish."""
     for upper, lower in zip(maps, maps[1:]):

@@ -3,22 +3,23 @@ Knuth-Bendix completion, and three-valued word equality.
 
 The reduction order is always shortlex over the alphabet order.  All
 searches are budgeted; one rule application or one critical-pair join
-attempt costs one step, so results are machine independent.  Rewriting,
-critical pairs, interreduction and irreducible words all look redexes up
-in one trie over the rule left sides, built once per rule set;
-completion runs on the system, and so the trie, that interreduction made,
-and its result shares that trie.  Completion replays the joins it made
+attempt costs one step, so results are machine independent.  Redexes are
+looked up in a trie over the rule left sides.  A fixed system builds it
+once; a completion keeps one for its whole run and its result, inserting
+a rule's lhs, and encoding its sides, once, when the rule enters, and
+deleting it when the rule leaves.  Completion replays the joins it made
 before and interreduction re-tests only the rules a new rule can reduce,
 with the steps, charges and results of doing all the work again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import EMPTY, Alphabet, Presentation, Word
+from .words import Alphabet, Presentation, Word
 
 RAW = "raw"
 ORIENTED = "oriented"
@@ -89,26 +90,33 @@ class RewriteSystem:
 class _Index:
     """Trie over the rule left sides (all non-empty, as orient_system makes
     them).  A node is [children, ending, below]: children by letter, then
-    the indices of the rules whose lhs ends at the node and of those whose
-    lhs passes strictly below it, both ascending."""
+    the ranks of the rules whose lhs ends at the node and of those whose lhs
+    passes strictly below it, both ascending.  rules maps each rank to its
+    rule, and order lists the ranks as the system lists its rules.  A fixed
+    system ranks a rule by its position, so leftmost, which takes the lowest
+    rank among the rules matching at one position, takes the lowest index."""
 
     def __init__(self, rules):
-        self.root = [{}, [], []]
-        self.longest = 0
-        for ri, rule in enumerate(rules):
-            node = self.root
-            for a in rule.lhs:
-                child = node[0].get(a)
-                if child is None:
-                    child = node[0][a] = [{}, [], []]
-                node[2].append(ri)
-                node = child
-            node[1].append(ri)
-            self.longest = max(self.longest, len(rule.lhs))
+        self.root, self.rules, self.order = [{}, [], []], {}, range(len(rules))
+        self.longest = 0  # never less than the longest lhs
+        for rank, rule in enumerate(rules):
+            self.add(rank, rule)
+
+    def add(self, rank, rule):
+        node = self.root
+        for a in rule.lhs:
+            insort(node[2], rank)
+            child = node[0].get(a)
+            if child is None:
+                child = node[0][a] = [{}, [], []]
+            node = child
+        insort(node[1], rank)
+        self.rules[rank] = rule
+        self.longest = max(self.longest, len(rule.lhs))
 
     def leftmost(self, w: Word, start=0, skip=None):
-        """(position, rule index) of the leftmost redex at or after start,
-        lowest rule index first, ignoring rule skip; None if there is none."""
+        """(position, rank) of the leftmost redex at or after start, lowest
+        rank first, ignoring the rule of rank skip; None if there is none."""
         root = self.root[0]
         n = len(w)
         for pos in range(start, n):
@@ -120,11 +128,11 @@ class _Index:
             while True:
                 children, ending, _ = node
                 if ending:
-                    # ascending, so the first index other than skip is lowest
-                    for ri in ending:
-                        if ri != skip:
-                            if hit is None or ri < hit:
-                                hit = ri
+                    # ascending, so the first rank other than skip is lowest
+                    for rank in ending:
+                        if rank != skip:
+                            if hit is None or rank < hit:
+                                hit = rank
                             break
                 if i == n:
                     break
@@ -135,6 +143,60 @@ class _Index:
             if hit is not None:
                 return pos, hit
         return None
+
+
+class _LiveIndex(_Index):
+    """The index of one completion.  A rule enters under the rank
+    len(lhs) << 32 | serial, serial counting the rules before it, and text
+    maps the rank to the rule's sides, encoded once, then.  keys lists
+    (len(lhs), lhs text, rank) of the live rules ascending, as the stable
+    sort of interreduction orders them, and leftmost answers as on that
+    order ranked by position: the rules matching at one position have
+    nested left sides, so a shorter lhs comes first, and rules of one length
+    share their lhs and keep their entry order."""
+
+    def __init__(self, alphabet: Alphabet):
+        super().__init__(())
+        # words as text, one character per letter, so that a factor test is
+        # a substring test; no letter is "\0", which separates words
+        code = {a: chr(alphabet.rank(a) + 1) for a in alphabet.letters}
+        self.encode = lambda w: "".join(map(code.__getitem__, w))
+        self.alphabet, self.serial, self.keys, self.text = alphabet, 0, [], {}
+
+    def key(self, rank):
+        return rank >> 32, self.text[rank][:rank >> 32], rank
+
+    def enter(self, rule) -> int:
+        lhs = self.encode(rule.lhs)
+        rank = len(lhs) << 32 | self.serial
+        self.serial += 1
+        self.add(rank, rule)
+        self.text[rank] = lhs + "\0" + self.encode(rule.rhs)
+        insort(self.keys, self.key(rank))
+        return rank
+
+    def leave(self, rank):
+        """Delete the rule, and the trie nodes that only its lhs kept."""
+        del self.keys[bisect_left(self.keys, self.key(rank))]
+        del self.text[rank]
+        lhs = self.rules.pop(rank).lhs
+        path = [self.root]
+        for a in lhs:
+            below = path[-1][2]
+            del below[bisect_left(below, rank)]
+            path.append(path[-1][0][a])
+        path[-1][1].remove(rank)
+        for k in range(len(lhs), 0, -1):
+            if path[k][0] or path[k][1]:
+                break
+            del path[k - 1][0][lhs[k - 1]]
+
+    def system(self) -> RewriteSystem:
+        self.order = [key[2] for key in self.keys]
+        out = RewriteSystem(self.alphabet, tuple(
+            map(self.rules.__getitem__, self.order)), ORIENTED)
+        out.__dict__["_index"] = self
+        return out
 
 
 @dataclass
@@ -183,22 +245,21 @@ def orient_system(source, alphabet: Alphabet = None) -> RewriteSystem:
     return RewriteSystem(alphabet, rules, ORIENTED)
 
 
-def _rewrite(s: RewriteSystem, w: Word, budget: Budget = None,
+def _rewrite(index: _Index, w: Word, budget: Budget = None,
              trace: list = None, skip=None) -> Word:
-    """Rewrite the leftmost redex, lowest rule index first, to a fixed point,
-    one budget step per rewrite, never applying rule skip; each new word is
-    appended to trace."""
-    index = s._index
+    """Rewrite the leftmost redex, lowest rank first, to a fixed point,
+    one budget step per rewrite, never applying the rule of rank skip; each
+    new word is appended to trace."""
     back = index.longest - 1
     pos = 0
     while True:
         hit = index.leftmost(w, pos, skip)
         if hit is None:
             return w
-        pos, ri = hit
+        pos, rank = hit
         if budget is not None and not budget.spend():
             raise BudgetExhausted(w)
-        rule = s.rules[ri]
+        rule = index.rules[rank]
         w = w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
         if trace is not None:
             trace.append(w)
@@ -206,25 +267,12 @@ def _rewrite(s: RewriteSystem, w: Word, budget: Budget = None,
         pos = max(0, pos - back)
 
 
-def reduce_once(s: RewriteSystem, w: Word, budget: Budget = None):
-    """Apply the leftmost-lowest-index rule once, or None if w is irreducible."""
-    s.require_oriented()
-    hit = s._index.leftmost(w)
-    if hit is None:
-        return None
-    pos, ri = hit
-    rule = s.rules[ri]
-    if budget is not None and not budget.spend():
-        raise BudgetExhausted(w)
-    return w[:pos] + rule.rhs + w[pos + len(rule.lhs):]
-
-
 def normalize(s: RewriteSystem, w: Word, budget: Budget = None,
               trace: list = None) -> Word:
     """Reduce to a fixed point, appending each new word to trace.
     Terminates: every rule is shortlex-decreasing."""
     s.require_oriented()
-    return _rewrite(s, w, budget, trace)
+    return _rewrite(s._index, w, budget, trace)
 
 
 def normalize_trace(s: RewriteSystem, w: Word, budget: Budget = None) -> list[Word]:
@@ -232,7 +280,7 @@ def normalize_trace(s: RewriteSystem, w: Word, budget: Budget = None) -> list[Wo
     raises BudgetExhausted like normalize."""
     s.require_oriented()
     trace = [w]
-    _rewrite(s, w, budget, trace)
+    _rewrite(s._index, w, budget, trace)
     return trace
 
 
@@ -246,18 +294,19 @@ def critical_pairs(s: RewriteSystem):
     """
     s.require_oriented()
     rules = s.rules
-    root = s._index.root
+    index = s._index
+    at = {rank: j for j, rank in enumerate(index.order)}  # rank -> position
     for i, r1 in enumerate(rules):
         l1 = r1.lhs
         found = []
         for p in range(len(l1)):
-            node = root
+            node = index.root
             for a in l1[p:]:
                 node = node[0].get(a)
                 if node is None:
                     break
                 # containment: l2 = l1[p:p + len(l2)] (distinct rules)
-                for j in node[1]:
+                for j in map(at.__getitem__, node[1]):
                     if j != i:
                         l2 = rules[j].lhs
                         found.append((j, p, "contain", r1.rhs,
@@ -265,7 +314,7 @@ def critical_pairs(s: RewriteSystem):
             else:
                 # proper overlap: the suffix l1[p:] is a proper prefix of l2
                 if p:
-                    for j in node[2]:
+                    for j in map(at.__getitem__, node[2]):
                         l2 = rules[j].lhs
                         found.append((j, p, "overlap",
                                       r1.rhs + l2[len(l1) - p:],
@@ -275,61 +324,49 @@ def critical_pairs(s: RewriteSystem):
             yield left, right, (kind, i, j, p)
 
 
-def _encoder(alphabet: Alphabet):
-    """Words as text, one character per letter, so that a factor test is a
-    substring test; no letter is "\0", which separates words."""
-    code = {a: chr(alphabet.rank(a) + 1) for a in alphabet.letters}
-    return lambda w: "".join(map(code.__getitem__, w))
-
-
-def _interreduce(alphabet: Alphabet, rules, clean=()) -> RewriteSystem:
+def _interreduce(alphabet: Alphabet, rules, clean=(),
+                 index: _LiveIndex = None) -> RewriteSystem:
     """Canonical interreduced rule set: no lhs/rhs reducible by another rule.
 
-    Each round indexes the sorted rules once and reduces the first reducible
-    rule through that index, skipping the rule itself (which keeps the order
-    of the others); the system of the round that changes nothing is
-    returned, its index ready for completion.  The rules of clean (by
-    identity) are known irreducible by the others; rules leaving reduce
-    nothing, so a known rule is tested again only after a rule whose lhs
-    occurs in its sides enters, and each round still reduces the first
-    reducible rule in sorted order."""
-    encode = _encoder(alphabet)
-
-    def sides(r):
-        return encode(r.lhs) + "\0" + encode(r.rhs)
-
-    work = list(rules)
-    known = {id(r): sides(r) for r in clean}
-    entered = [r for r in work if id(r) not in known]
+    The rules enter index (the live index of an earlier call, all of whose
+    rules are irreducible) or a new one.  Each round reduces the first
+    reducible rule in key order through the index, skipping the rule
+    itself; the system of the round that changes nothing shares the index.
+    The rules of clean (by identity) are known irreducible by the others;
+    rules leaving reduce nothing, so a known rule is tested again only
+    after a rule whose lhs occurs in its sides enters."""
+    index = index or _LiveIndex(alphabet)
+    clean = set(map(id, clean))
+    entered = [rank for rank, rule in zip(map(index.enter, rules), rules)
+               if id(rule) not in clean]
+    dirty = set(entered)
     while True:
         for new in entered:
-            lhs = encode(new.lhs)
-            known = {k: text for k, text in known.items() if lhs not in text}
+            lhs = index.key(new)[1]
+            dirty.update(r for r, text in index.text.items() if lhs in text)
         entered = ()
-        # shortlex: the text of a word orders as its letters' ranks
-        work.sort(key=lambda r: (len(r.lhs), encode(r.lhs)))
-        system = RewriteSystem(alphabet, tuple(work), ORIENTED)
-        for idx, rule in enumerate(work):
-            if id(rule) in known:
-                continue
-            lhs = _rewrite(system, rule.lhs, skip=idx)
-            rhs = _rewrite(system, rule.rhs, skip=idx)
+        for rank in sorted(dirty, key=index.key):
+            rule = index.rules[rank]
+            lhs = _rewrite(index, rule.lhs, skip=rank)
+            rhs = _rewrite(index, rule.rhs, skip=rank)
+            dirty.discard(rank)
             if lhs == rule.lhs and rhs == rule.rhs:
-                known[id(rule)] = sides(rule)
                 continue
-            del work[idx]
-            new_rule = _rule(alphabet, lhs, rhs)
-            if lhs != rhs and new_rule not in work:
-                work.append(new_rule)
-                entered = (new_rule,)
+            index.leave(rank)
+            # both sides are irreducible by the remaining rules, so none of
+            # them has the new rule's lhs: the new rule duplicates none
+            if lhs != rhs:
+                entered = (index.enter(_rule(alphabet, lhs, rhs)),)
+                dirty.update(entered)
             break
         else:
-            return system
+            return index.system()
 
 
 def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionResult:
     """Budgeted completion.  Every added rule is a consequence of the input,
-    so the congruence is preserved whether or not completion finishes.
+    so the congruence is preserved whether or not completion finishes.  All
+    rounds share one live index, which interreduction changes in place.
 
     A pair joined in an earlier round is replayed: its charge, 1 + its
     rewrites, is spent at once and nothing is normalized.  The replay is
@@ -340,21 +377,20 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
     has its lhs in one of them.  A rule that left was reduced, or replaced
     by one with the same lhs, and interreduction never makes a reducible
     word irreducible; so its lhs holds the lhs of a rule that entered, and
-    only those are tested.  Joins are keyed by their two rules' ids and the
-    position.  After each interreduction the entries that fail the test go,
-    and so do those of rules that left, so an id reused by a new rule finds
-    nothing."""
+    only those are tested.  Joins are keyed by their two rules' ranks and
+    the position.  After each interreduction the entries that fail the
+    test go, and so do those of rules that left; no rank is given twice."""
     s.require_oriented()
     budget = Budget(budget_limit)
     alphabet = s.alphabet
-    encode = _encoder(alphabet)
     current = _interreduce(alphabet, s.rules)
-    joins = {}  # (id(rule_i), id(rule_j), position) -> (trace text, charge)
+    index = current._index
+    joins = {}  # (rank_i, rank_j, position) -> (trace text, charge)
     try:
         while True:
-            rules = current.rules
+            order = index.order
             for left, right, (_, i, j, p) in critical_pairs(current):
-                key = (id(rules[i]), id(rules[j]), p)
+                key = (order[i], order[j], p)
                 join = joins.get(key)
                 # a replay charges the whole join, a new join its attempt
                 if not budget.spend(join[1] if join else 1):
@@ -367,17 +403,18 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
                 v = normalize(current, right, budget, trace)
                 if u != v:
                     break
-                joins[key] = ("\0".join(map(encode, trace)), len(trace) - 1)
+                joins[key] = ("\0".join(map(index.encode, trace)),
+                              len(trace) - 1)
             else:
                 return CompletionResult(
                     current.with_status(COMPLETE), True, budget.spent)
+            old = set(index.order)
             current = _interreduce(
-                alphabet, rules + (_rule(alphabet, u, v),), rules)
-            old, live = set(map(id, rules)), set(map(id, current.rules))
-            entered = [encode(r.lhs) for r in current.rules
-                       if id(r) not in old]
+                alphabet, (_rule(alphabet, u, v),), (), index)
+            entered = [index.key(rank)[1] for rank in index.order
+                       if rank not in old]
             joins = {key: join for key, join in joins.items()
-                     if key[0] in live and key[1] in live
+                     if key[0] in index.rules and key[1] in index.rules
                      and not any(lhs in join[0] for lhs in entered)}
     except BudgetExhausted:
         return CompletionResult(
@@ -406,19 +443,14 @@ def _ball_with_parents(p: Presentation, w: Word, max_len: int, budget: Budget):
 
 
 def _witness_path(parents, target):
-    path = []
-    cur = target
-    while cur is not None:
-        path.append(cur)
-        cur = parents[cur]
-    path.reverse()
-    return path
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[::-1]
 
 
 def default_ball_cap(p: Presentation, u: Word, v: Word) -> int:
-    longest = 1
-    for lhs, rhs in p.relations:
-        longest = max(longest, len(lhs), len(rhs))
+    longest = max([1] + [len(x) for rel in p.relations for x in rel])
     return max(len(u), len(v)) + 2 * longest
 
 
@@ -434,8 +466,8 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
         if ctx.status == COMPLETE:
             budget = Budget(budget_limit)
             tu, tv = [u], [v]
-            nu = _rewrite(ctx, u, budget, tu)
-            nv = _rewrite(ctx, v, budget, tv)
+            nu = _rewrite(ctx._index, u, budget, tu)
+            nv = _rewrite(ctx._index, v, budget, tv)
             if nu == nv:
                 return Verdict("proven", tu + tv[::-1], budget.spent)
             return Verdict("refuted", [nu, nv], budget.spent)
@@ -456,18 +488,3 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
     # the ball may be closed under the cap, but equality could still need
     # longer intermediate words, so absence proves nothing
     return Verdict("unknown", None, budget.spent)
-
-
-def irreducible_words(s: RewriteSystem, max_len: int):
-    """All irreducible words of length <= max_len, shortlex order.  Each
-    length extends the irreducible words one shorter by every letter."""
-    index = s._index
-    out, level = [], [EMPTY]
-    for n in range(max_len + 1):
-        if n:
-            longer = (u + (a,) for u in level for a in s.alphabet.order)
-            # u is irreducible, so any redex of v ends at its last letter
-            level = [v for v in longer
-                     if index.leftmost(v, max(0, n - index.longest)) is None]
-        out.extend(level)
-    return out

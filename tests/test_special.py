@@ -247,19 +247,90 @@ def test_delete_splits_a_relator_inside_another():
 
 
 def test_splitting_of_one_letter_relators_stays_in_budget():
-    # deleting a and b reaches every subsequence of (ab)^20, about F(42)
-    # words; past the budget the splitting stops deleting, and every
-    # relator still splits, since each rest is a factor of its relator
+    # a and b are invertible from the start, so nothing is deleted from
+    # (ab)^20, which would reach every subsequence of it, about F(42) words;
+    # the cuts alone split every relator into letters, well inside budget
     rels = tuple(map(w, ["a", "b", "ab" * 20]))
+    factors, found = adjan_factorization(rels, 1000)
+    assert factors == ((w("a"),), (w("b"),), tuple(map(w, "ab" * 20)))
+    free = {r[i:j] for r in rels for j in range(41) for i in range(j)}
+    assert found <= free
+    ua = compute_delta(_special("ab", ["a", "b", "ab" * 20]), 1000)
+    assert ua.delta == (w("a"), w("b"))
+    assert {"kind": "relator_splitting_truncated"} not in ua.diagnostics
+
+
+def test_splitting_that_keeps_deleting_stays_in_budget():
+    # ab = 1 gives the bicyclic monoid, where no letter is invertible, and
+    # deleting ab from (aabb)^20 reaches 3^20 words; past the budget the
+    # splitting stops deleting, and every relator still splits, since each
+    # rest is a factor of its relator
+    rels = tuple(map(w, ["ab", "aabb" * 20]))
     with pytest.raises(BudgetExhausted) as e:
         adjan_factorization(rels, 1000)
     factors, found = e.value.partial
-    assert factors == ((w("a"),), (w("b"),), tuple(map(w, "ab" * 20)))
-    free = {r[i:j] for r in rels for j in range(41) for i in range(j)}
-    assert len(found - free) <= 1000
-    ua = compute_delta(_special("ab", ["a", "b", "ab" * 20]), 1000)
-    assert ua.delta == (w("a"), w("b")) and not ua.certified
+    assert factors == ((w("ab"),), (w("aabb"),) * 20)
+    free = {r[i:j] for r in rels for j in range(81) for i in range(j)}
+    assert 0 < len(found - free) <= 1000
+    ua = compute_delta(_special("ab", ["ab", "aabb" * 20]), 1000)
+    assert not ua.certified
     assert ua.diagnostics[0] == {"kind": "relator_splitting_truncated"}
+
+
+def unskipped_splitting(relators):
+    """Adjan's three rules to a fixed point, rescanning every pair of
+    members each pass and deleting relators from every member, even one
+    whose letters are all invertible: the oracle for the skip."""
+    found = set(relators)
+    while True:
+        new = set()
+        for u in found:
+            for v in found:
+                new.update(u[:k] for k in range(1, min(len(u), len(v)))
+                           if v[len(v) - k:] == u[:k])
+                if len(u) < len(v) and v[:len(u)] == u:
+                    new.add(v[len(u):])
+                if len(u) < len(v) and v[len(v) - len(u):] == u:
+                    new.add(v[:len(v) - len(u)])
+            for s in relators:
+                for i in range(len(u) - len(s) + 1 if len(s) < len(u) else 0):
+                    if u[i:i + len(s)] == s:
+                        new.add(u[:i] + u[i + len(s):])
+        if new <= found:
+            break
+        found |= new
+    factors = []
+    for rest in relators:
+        pieces = []
+        while rest:
+            k = min(k for k in range(1, len(rest) + 1) if rest[:k] in found)
+            pieces.append(rest[:k])
+            rest = rest[k:]
+        factors.append(tuple(pieces))
+    return tuple(factors)
+
+
+def test_skipping_invertible_words_keeps_the_pieces():
+    # the 435 pairs of the ball-loop test, and (ab)^4 with a = b = 1, whose
+    # unskipped set holds every subsequence of (ab)^4
+    words = [w(x) for n in range(1, 5) for x in map(
+        "".join, itertools.product("ab", repeat=n))]
+    cases = list(itertools.combinations(words, 2))
+    assert len(cases) == 435
+    cases.append(tuple(map(w, ["a", "b", "abababab"])))
+    # b is invertible but d and a are not: dadbba must still lose its b
+    cases.append(tuple(map(w, ["b", "dadbba"])))
+    for relators in cases:
+        assert adjan_factorization(relators)[0] == unskipped_splitting(
+            relators), relators
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.text(alphabet="abc", min_size=1, max_size=7),
+                min_size=2, max_size=3))
+def test_skipping_invertible_words_keeps_random_pieces(relators):
+    rels = tuple(map(w, relators))
+    assert adjan_factorization(rels)[0] == unskipped_splitting(rels)
 
 
 @settings(max_examples=60, deadline=None)
