@@ -463,20 +463,28 @@ def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
 # Bass-Serre balls
 
 
+class _Labelled:
+    @property
+    def label(self) -> str:
+        """[representative]side, formatted only when it is read."""
+        return f"[{_format(self.rep)}]{self.side}"
+
+
 @dataclass
-class BSVertex:
+class BSVertex(_Labelled):
     side: str
     class_id: int
-    label: str
+    rep: tuple      # the class representative: a word, or a pair of them
     interior: bool
 
 
 @dataclass
-class BSEdge:
+class BSEdge(_Labelled):
     class_id: int
     tail: int       # global vertex id
     head: int
-    label: str
+    side: str
+    rep: tuple
     interior: bool
 
 
@@ -591,8 +599,7 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
     for side, qb in vertex_balls.items():
         offset[side] = len(vertices)
         vertices.extend(
-            BSVertex(side, ci, f"[{_format(qb.rep(ci))}]{side}",
-                     not qb.partial[ci])
+            BSVertex(side, ci, qb.rep(ci), not qb.partial[ci])
             for ci in range(len(qb.classes)))
     sides = list(vertex_balls)
     tail_ball, head_ball = vertex_balls[sides[0]], vertex_balls[sides[-1]]
@@ -621,8 +628,8 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
         if head is None:
             head = next(head_of[i] for i in members if head_of[i] is not None)
         edges.append(BSEdge(
-            ci, tail_base + tail, head_base + head,
-            f"[{_format(edge_ball.elements[first])}]{edge_side}",
+            ci, tail_base + tail, head_base + head, edge_side,
+            edge_ball.elements[first],
             not (edge_ball.partial[ci] or leaves or len(ts) > 1
                  or len(hs) > 1)))
     return BassSerreGraph(kind, radius, vertices, edges, diagnostics,

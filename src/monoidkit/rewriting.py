@@ -422,23 +422,36 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
 
 
 def _ball_with_parents(p: Presentation, w: Word, max_len: int, budget: Budget):
+    """BFS from w under both moves of every relation, keeping the words up
+    to max_len with the word each was first reached from.  Each match costs
+    a step, even one whose word would pass max_len and is never built.  One
+    charge per word pays for all its matches and equals a charge per match
+    in (relation, direction, position) order: if not all fit, exactly those
+    paid for are applied, so the partial ball that BudgetExhausted carries,
+    its order and budget.spent are those of per-match charges."""
+    moves = [(a, a and a[0], b, len(a), len(b) - len(a))
+             for lhs, rhs in p.relations for a, b in ((lhs, rhs), (rhs, lhs))]
     parents = {w: None}
     queue = deque([w])
     while queue:
         cur = queue.popleft()
-        for lhs, rhs in p.relations:
-            for a, b in ((lhs, rhs), (rhs, lhs)):
-                la = len(a)
-                for pos in range(len(cur) - la + 1):
-                    if cur[pos:pos + la] != a:
-                        continue
-                    if not budget.spend():
-                        raise BudgetExhausted(parents)
-                    nxt = cur[:pos] + b + cur[pos + la:]
-                    if len(nxt) > max_len or nxt in parents:
-                        continue
-                    parents[nxt] = cur
-                    queue.append(nxt)
+        n = len(cur)
+        hits = [[i for i in range(n - la + 1)
+                 if cur[i] == a0 and cur[i:i + la] == a]
+                if la else range(n + 1) for a, a0, _, la, _ in moves]
+        total = sum(map(len, hits))
+        before, fits = budget.spent, budget.spend(total)
+        paid = total if fits else budget.spent - before
+        for (_, _, b, la, grow), at in zip(moves, hits):
+            if n + grow <= max_len:
+                for i in at[:max(paid, 0)]:
+                    nxt = cur[:i] + b + cur[i + la:]
+                    if nxt not in parents:
+                        parents[nxt] = cur
+                        queue.append(nxt)
+            paid -= len(at)
+        if not fits:
+            raise BudgetExhausted(parents)
     return parents
 
 

@@ -110,6 +110,15 @@ class _InverseIndex:
             _witness_path(self.parents, left)[::-1])
 
 
+def _invertible_in(ball_parents, max_len: int) -> set:
+    """The words of length 1 to max_len that are a prefix and a suffix of
+    words of the unit ball: those that _InverseIndex.certify certifies."""
+    heads = {b[:max_len] for b in ball_parents}
+    tails = {b[-max_len:] for b in ball_parents}
+    return ({h[:k] for h in heads for k in range(1, len(h) + 1)}
+            & {t[-k:] for t in tails for k in range(1, len(t) + 1)})
+
+
 def _longest_relator(sp: SpecialPresentation) -> int:
     return max((len(r) for r in sp.relators), default=0)
 
@@ -272,8 +281,10 @@ def compute_delta(sp: SpecialPresentation,
 
     The relators are split into invertible pieces by adjan_factorization.
     The candidates are all words up to the minimum relator length that are
-    invertible (found by the splitting or certified in one unit ball),
-    indecomposable, and provably equal to some piece.  A piece outside
+    invertible, indecomposable, and provably equal to some piece.  A word
+    is invertible if the splitting found it or if it is both a prefix and a
+    suffix of words of one unit ball: the two sets of cut prefixes and
+    suffixes are intersected, with no certificate built.  A piece outside
     delta, a search that ran out of budget, or a relator that does not
     parse over delta is listed in diagnostics and marks the analysis
     non-certified.
@@ -301,8 +312,8 @@ def compute_delta(sp: SpecialPresentation,
         candidates.extend(alphabet.words_of_length(n))
     pieces = sorted({f for fl in ua.factors for f in fl},
                     key=alphabet.shortlex_key)
-    index = _InverseIndex(ball, min_len)
-    invertible = {c for c in candidates if c in found or index.certify(c)}
+    # the candidates' prefixes are candidates, and no other word is asked
+    invertible = found | _invertible_in(ball, min_len)
     for c in candidates:
         if c not in invertible:
             continue

@@ -720,9 +720,7 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
     for side, qb in (("M1", qb1), ("M2", qb2)):
         for ci in range(len(qb.classes)):
             gid[side, ci] = len(vertices)
-            vertices.append(BSVertex(
-                side, ci, f"[{format_word(qb.rep(ci))}]{side}",
-                not qb.partial[ci]))
+            vertices.append(BSVertex(side, ci, qb.rep(ci), not qb.partial[ci]))
     edges = []
     diagnostics = []
     find1, find2 = oracle_lookup(qb1), oracle_lookup(qb2)
@@ -735,7 +733,7 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
             diagnostics.append({
                 "kind": "edge_incidence_unresolved", "edge_class": ci})
         edges.append(BSEdge(
-            ci, gid["M1", t1], gid["M2", t2], f"[{format_word(x)}]W",
+            ci, gid["M1", t1], gid["M2", t2], "W", x,
             not qbw.partial[ci] and ok))
     return BassSerreGraph("amalgam", radius, vertices, edges, diagnostics,
                           {"M1": qb1, "M2": qb2}, qbw)
@@ -750,8 +748,7 @@ def oracle_op_tree(ctx, radius, budget, margin):
     qbm = ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")
     qba = ball(ctx.a_images, "L/A")
     vertices = [
-        BSVertex("M", ci, f"[{format_word(qbm.rep(ci))}]M",
-                 not qbm.partial[ci])
+        BSVertex("M", ci, qbm.rep(ci), not qbm.partial[ci])
         for ci in range(len(qbm.classes))
     ]
     edges = []
@@ -772,7 +769,7 @@ def oracle_op_tree(ctx, radius, budget, margin):
         if head is None:
             continue
         edges.append(BSEdge(
-            ci, next(iter(tails)), head, f"[{format_word(x)}]A", interior))
+            ci, next(iter(tails)), head, "A", x, interior))
     return BassSerreGraph("otto_pride", radius, vertices, edges, diagnostics,
                           {"M": qbm}, qba)
 
@@ -791,10 +788,7 @@ def oracle_amalgam_forest(ctx, radius, budget, margin):
     for side, pq in (("M1", pq1), ("M2", pq2)):
         for ci in range(len(pq.classes)):
             gid[side, ci] = len(vertices)
-            x, y = pq.rep(ci)
-            vertices.append(BSVertex(
-                side, ci, f"[{format_word(x)},{format_word(y)}]{side}",
-                not pq.partial[ci]))
+            vertices.append(BSVertex(side, ci, pq.rep(ci), not pq.partial[ci]))
     edges = []
     find1, find2 = oracle_lookup(pq1), oracle_lookup(pq2)
     for ci in range(len(pqe.classes)):
@@ -803,8 +797,7 @@ def oracle_amalgam_forest(ctx, radius, budget, margin):
         t1, t2 = find1(p), find2(p)
         ok = all(find1(q) == t1 and find2(q) == t2 for q in members)
         edges.append(BSEdge(
-            ci, gid["M1", t1], gid["M2", t2],
-            f"[{format_word(p[0])},{format_word(p[1])}]W",
+            ci, gid["M1", t1], gid["M2", t2], "W", p,
             not pqe.partial[ci] and ok))
     return BassSerreGraph("amalgam_forest", radius, vertices, edges, [],
                           {"M1": pq1, "M2": pq2}, pqe)
@@ -820,10 +813,7 @@ def oracle_op_forest(ctx, radius, budget, margin):
         ctx.solver, alphabet, ctx.a_images, radius, budget, "LxL/A", margin,
         twist={tuple(g): tuple(v) for g, v in ctx.spec.phi.items()})
     vertices = [
-        BSVertex("M", ci,
-                 f"[{format_word(pqm.rep(ci)[0])},"
-                 f"{format_word(pqm.rep(ci)[1])}]M",
-                 not pqm.partial[ci])
+        BSVertex("M", ci, pqm.rep(ci), not pqm.partial[ci])
         for ci in range(len(pqm.classes))
     ]
     edges = []
@@ -843,8 +833,7 @@ def oracle_op_forest(ctx, radius, budget, margin):
                     and len(tails) == 1 and len(heads) == 1)
         x, y = members[0]
         edges.append(BSEdge(
-            ci, min(tails), min(heads),
-            f"[{format_word(x)},{format_word(y)}]A", interior))
+            ci, min(tails), min(heads), "A", (x, y), interior))
     return BassSerreGraph("otto_pride_forest", radius, vertices, edges, [],
                           {"M": pqm}, pqa)
 
@@ -939,6 +928,32 @@ def test_bass_serre_builder_matches_oracles(case):
                       for e, f in zip(got.edges, want.edges)]
         assert check_beta_section(got, d_got) == check_beta_section(
             want, d_want)
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
+@pytest.mark.parametrize("forest", [False, True])
+def test_bass_serre_labels_are_formatted_on_read(monkeypatch, kind, forest):
+    # building a graph formats no label; its artifacts show each class by
+    # its representative, [u]side for a word and [x,y]side for a pair
+    formatted = []
+    fmt = constructions._format
+    monkeypatch.setattr(constructions, "_format",
+                        lambda x: formatted.append(x) or fmt(x))
+    ctx, _ = ball_context(kind, 2, 3)
+    g = build_graph(kind, forest, ctx, 3, 10**6, 1)
+    assert g.vertices and g.edges and not formatted
+
+    def label(item):
+        words = item.rep if forest else (item.rep,)
+        return f"[{','.join(map(format_word, words))}]{item.side}"
+
+    doc = g.to_json()
+    assert [v["label"] for v in doc["vertices"]] == list(map(label, g.vertices))
+    assert [e["label"] for e in doc["edges"]] == list(map(label, g.edges))
+    assert {e.side for e in g.edges} == {"W" if kind == "amalgam" else "A"}
+    dot = g.to_dot()
+    assert all(f'v{i} [label="{label(v)}"' in dot
+               for i, v in enumerate(g.vertices))
 
 
 @pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])

@@ -1,10 +1,11 @@
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from monoidkit import rewriting
-from monoidkit.words import EMPTY, Alphabet, parse_presentation
+from monoidkit.words import EMPTY, Alphabet, Presentation, parse_presentation
 from monoidkit.rewriting import (
     COMPLETE,
     ORIENTED,
@@ -345,6 +346,70 @@ def oracle_knuth_bendix(s, budget_limit):
 def words_over(letters, min_size, max_size):
     return st.lists(st.sampled_from(letters), min_size=min_size,
                     max_size=max_size).map(tuple)
+
+
+def oracle_ball_with_parents(p, w, max_len, budget):
+    """The former ball search, kept as the oracle for _ball_with_parents:
+    one charge per match, each word built before the cap is tested."""
+    parents = {w: None}
+    queue = deque([w])
+    while queue:
+        cur = queue.popleft()
+        for lhs, rhs in p.relations:
+            for a, b in ((lhs, rhs), (rhs, lhs)):
+                la = len(a)
+                for pos in range(len(cur) - la + 1):
+                    if cur[pos:pos + la] != a:
+                        continue
+                    if not budget.spend():
+                        raise BudgetExhausted(parents)
+                    nxt = cur[:pos] + b + cur[pos + la:]
+                    if len(nxt) > max_len or nxt in parents:
+                        continue
+                    parents[nxt] = cur
+                    queue.append(nxt)
+    return parents
+
+
+@st.composite
+def presentations_and_words(draw):
+    """Presentations over 1 to 3 letters, special ones (every rhs empty),
+    ones with equal-length relations and ones with empty sides on either
+    side, and a start word."""
+    letters = draw(st.sampled_from(["a", "ab", "abc"]))
+    kind = draw(st.sampled_from(["special", "equal", "any"]))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(words_over(letters, 0 if kind == "any" else 1, 5))
+        rhs = (EMPTY if kind == "special" else
+               draw(words_over(letters, len(lhs), len(lhs))) if kind == "equal"
+               else draw(words_over(letters, 0, 5)))
+        relations.append((lhs, rhs))
+    return (Presentation(Alphabet(tuple(letters)), tuple(relations)),
+            draw(words_over(letters, 0, 6)))
+
+
+def _ball_outcome(search, p, word, max_len, limit):
+    budget = Budget(limit)
+    try:
+        parents, closed = search(p, word, max_len, budget), True
+    except BudgetExhausted as e:
+        parents, closed = e.partial, False
+    return list(parents.items()), closed, budget.spent
+
+
+@example((Presentation(Alphabet(("a", "b")), ((w("ab"), EMPTY),)), EMPTY),
+         4, 7)
+@example((Presentation(Alphabet(("a",)), ((EMPTY, EMPTY),)), w("aa")), 2, 5)
+@settings(max_examples=300, deadline=None)
+@given(presentations_and_words(), st.integers(0, 9),
+       st.one_of(st.integers(0, 60), st.integers(0, 3000)))
+def test_ball_with_parents_matches_per_match_oracle(case, max_len, limit):
+    # small budgets cut most searches short; the partial ball, its order and
+    # the steps spent must be those of one charge per match
+    p, word = case
+    assert (_ball_outcome(_ball_with_parents, p, word, max_len, limit)
+            == _ball_outcome(oracle_ball_with_parents, p, word, max_len, limit))
 
 
 @st.composite

@@ -640,6 +640,8 @@ def test_inverse_index_matches_sort_and_scan(relators, budget):
     cap = 2 * min_len + 2 * max(map(len, relators))
     ball, _ = _unit_ball(p, cap, Budget(budget))
     index = _InverseIndex(ball, min_len)
+    in_ball = special._invertible_in(ball, min_len)
+    assert all(0 < len(u) <= min_len for u in in_ball)
     for n in range(min_len + 1):
         # certify_invertible caps its own index at the length of its word
         own_cap = _InverseIndex(ball, n)
@@ -647,25 +649,45 @@ def test_inverse_index_matches_sort_and_scan(relators, budget):
             expected = _certify_by_sort_and_scan(u, ball)
             assert index.certify(u) == expected
             assert own_cap.certify(u) == expected
+            # compute_delta's two-set test answers without certificates
+            assert (u in in_ball) == (n > 0 and expected is not None)
 
 
-class _SortAndScanIndex:
-    def __init__(self, ball_parents, max_len):
-        self.ball_parents = ball_parents
-
-    def certify(self, u):
-        return _certify_by_sort_and_scan(u, self.ball_parents)
+def _invertible_by_sort_and_scan(ball_parents, max_len):
+    """The oracle for special._invertible_in: every word of length 1 to
+    max_len over the ball's letters that the sort-and-scan search certifies
+    (a prefix of a ball word uses only those letters)."""
+    letters = sorted({a for b in ball_parents for a in b})
+    return {u for n in range(1, max_len + 1)
+            for u in itertools.product(letters, repeat=n)
+            if _certify_by_sort_and_scan(u, ball_parents)}
 
 
 def test_compute_delta_matches_sort_and_scan(monkeypatch):
+    # compute_delta's two-set test against the per-candidate search, on the
+    # candidate ball of every relator over {a, b} of length 1 to 6; at
+    # budget 3000 some of those balls close and some are cut short
     def summary(ua):
         return (ua.delta, ua.partition, ua.factors, ua.diagnostics,
                 ua.certified)
 
+    two_sets = special._invertible_in
+    balls = []
+
+    def checked(ball_parents, max_len):
+        want = _invertible_by_sort_and_scan(ball_parents, max_len)
+        assert two_sets(ball_parents, max_len) == want
+        balls.append(max_len)
+        return want
+
+    closed = set()
     for n in range(1, 7):
         for rel in FREE.alphabet.words_of_length(n):
             p = _special("ab", [rel])
             got = summary(compute_delta(p, 3000))
+            closed.add(not any(d["kind"] == "unit_ball_truncated"
+                               for d in got[3]))
             with monkeypatch.context() as m:
-                m.setattr(special, "_InverseIndex", _SortAndScanIndex)
+                m.setattr(special, "_invertible_in", checked)
                 assert got == summary(compute_delta(p, 3000)), rel
+    assert len(balls) == 126 and closed == {True, False}
