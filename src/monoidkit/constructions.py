@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, repeat
 
 from .words import (
@@ -174,13 +175,25 @@ def hnn_presentation(m: Presentation, a_gens, b_gens, phi,
 
 
 def completed_solver(p: Presentation, budget_limit=DEFAULT_BUDGET):
-    """Normal-form function from a Knuth-Bendix completion of p."""
+    """Normal-form function from a Knuth-Bendix completion of p, and the
+    completed system.  On a complete system every word has exactly one
+    normal form, so the normal form is a function of the word: the solver
+    keeps each one it computes, and the memo is exact.  It lives as long
+    as the solver, that is as long as the context that holds it."""
     result = knuth_bendix(orient_system(p), budget_limit)
     if not result.completed:
         raise IncompleteSystemError(
             "completion did not finish within budget")
     system = result.system
-    return (lambda w: normalize(system, w)), system
+    memo = {}
+
+    def solver(w):
+        nf = memo.get(w)
+        if nf is None:
+            nf = memo[w] = normalize(system, w)
+        return nf
+
+    return solver, system
 
 
 @dataclass(frozen=True)
@@ -238,17 +251,25 @@ class OPContext:
         return seen
 
     def _factor_table(self, max_len: int):
-        """Every basis word c times every pooled A-element a, grouped by the
-        normal form of c.a, in basis-then-pool order.  Built once per
-        max_len, like the pool itself."""
+        """The normal form of c.a, for every basis word c and pooled
+        A-element a, mapped to its factorization: the first (c, a, gens) in
+        basis-then-pool order, or, when several distinct (c, a) give it,
+        the text that reports them all.  Built once per max_len, like the
+        pool itself."""
         if max_len in self._factor_tables:
             return self._factor_tables[max_len]
-        table = {}
+        found = {}
         pool = self.a_elements(max_len)
         for c in self.basis:
             for a_nf, gens in pool.items():
-                table.setdefault(self.nf_m(c + a_nf), []).append(
+                found.setdefault(self.nf_m(c + a_nf), []).append(
                     (c, a_nf, gens))
+        table = {
+            target: (
+                f"ambiguous basis factorization of {format_word(target)}: "
+                f"{[(format_word(c), format_word(a)) for c, a, _ in fs]}"
+                if len({(c, a) for c, a, _ in fs}) > 1 else fs[0])
+            for target, fs in found.items()}
         self._factor_tables[max_len] = table
         return table
 
@@ -257,16 +278,14 @@ class OPContext:
         Raises FactorizationFailure if no or several factorizations exist
         inside the search bound (the basis is then not free over A)."""
         target = self.nf_m(m_word)
-        found = self._factor_table(
-            len(target) + self._longest_gen).get(target, ())
-        if not found:
+        entry = self._factor_table(
+            len(target) + self._longest_gen).get(target)
+        if entry is None:
             raise FactorizationFailure(
                 f"no basis factorization of {format_word(target)}")
-        if len({(c, a) for c, a, _ in found}) > 1:
-            raise FactorizationFailure(
-                f"ambiguous basis factorization of {format_word(target)}: "
-                f"{[(format_word(c), format_word(a)) for c, a, _ in found]}")
-        return found[0]
+        if isinstance(entry, str):
+            raise FactorizationFailure(entry)
+        return entry
 
 
 def op_normal_form(ctx: OPContext, w: Word) -> OPNormalForm:
@@ -314,11 +333,11 @@ def op_multiply(ctx: OPContext, nf1: OPNormalForm,
 # quotient balls (weak orbits) and tensor pair balls
 
 
-def _format(element) -> str:
-    """A word, or a pair of words as x,y."""
+def _format(element, names=format_word) -> str:
+    """A word, or a pair of words as x,y; names formats each word."""
     words = element if element and isinstance(element[0], tuple) \
         else (element,)
-    return ",".join(map(format_word, words))
+    return ",".join(map(names, words))
 
 
 @dataclass
@@ -467,7 +486,11 @@ class _Labelled:
     @property
     def label(self) -> str:
         """[representative]side, formatted only when it is read."""
-        return f"[{_format(self.rep)}]{self.side}"
+        return self.label_with(format_word)
+
+    def label_with(self, names) -> str:
+        """The label, with names formatting each word."""
+        return f"[{_format(self.rep, names)}]{self.side}"
 
 
 @dataclass
@@ -534,42 +557,30 @@ class BassSerreGraph:
         m = self.boundary_matrix()
         return rank_exact(m) == m.cols
 
-    def connected_interior(self, start: int) -> bool:
-        """Whether every interior vertex lies in the component of start."""
-        comp = self.components()
-        return set(comp.values()) <= {comp.get(start)}
-
-    def components(self):
-        """Interior components as a map vertex id -> component id."""
-        uf = UnionFind(len(self.vertices))
-        uf.union_all((self.edges[ei].tail, self.edges[ei].head)
-                     for ei in self.interior_edge_ids())
-        # interior edges join interior vertices only
-        ordered = [c for c in uf.classes()[1] if self.vertices[c[0]].interior]
-        return {v: ci for ci, members in enumerate(ordered) for v in members}
-
     def to_json(self):
+        names = cache(format_word)  # each word formatted once per artifact
         return {
             "kind": self.kind,
             "radius": self.radius,
             "vertices": [
-                {"id": i, "side": v.side, "label": v.label,
+                {"id": i, "side": v.side, "label": v.label_with(names),
                  "interior": v.interior}
                 for i, v in enumerate(self.vertices)
             ],
             "edges": [
-                {"tail": e.tail, "head": e.head, "label": e.label,
-                 "interior": e.interior}
+                {"tail": e.tail, "head": e.head,
+                 "label": e.label_with(names), "interior": e.interior}
                 for e in self.edges
             ],
             "diagnostics": self.diagnostics,
         }
 
     def to_dot(self):
+        names = cache(format_word)
         lines = [f"graph bass_serre {{"]
         for i, v in enumerate(self.vertices):
             style = "" if v.interior else ", style=dashed"
-            lines.append(f'  v{i} [label="{v.label}"{style}];')
+            lines.append(f'  v{i} [label="{v.label_with(names)}"{style}];')
         for e in self.edges:
             style = "" if e.interior else " [style=dashed]"
             lines.append(f"  v{e.tail} -- v{e.head}{style};")
@@ -760,19 +771,6 @@ def bass_serre_forest_bi(ctx, kind: str, radius: int,
         ends)
 
 
-def forest_component_products(ctx, g: BassSerreGraph):
-    """The multiplication map on interior components: each interior vertex
-    pair class maps to the normal form of the product of its pair.  Returns
-    {component id: set of products}; the two-sided lemma predicts a single
-    product per component, distinct across components."""
-    out = {}
-    for v, ci in g.components().items():
-        vertex = g.vertices[v]
-        x, y = g.vertex_balls[vertex.side].rep(vertex.class_id)
-        out.setdefault(ci, set()).add(ctx.solver(x + y))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # derivations and the beta section
 
@@ -882,6 +880,13 @@ def check_derivation_wellformed(d: DerivationSpec, relations,
     failures = []
     skipped = []
     checked = 0
+    values = {}     # word -> its derivation value, evaluated once
+
+    def value(word):
+        v = values.get(word)
+        if v is None:
+            v = values[word] = derivation_eval(d, word)
+        return v
 
     def compare(kind, left, right, detail):
         nonlocal checked
@@ -893,11 +898,10 @@ def check_derivation_wellformed(d: DerivationSpec, relations,
             failures.append({"kind": kind, **detail})
 
     for lhs, rhs in relations:
-        compare("relation", derivation_eval(d, lhs), derivation_eval(d, rhs),
+        compare("relation", value(lhs), value(rhs),
                 {"lhs": format_word(lhs), "rhs": format_word(rhs)})
     for x, y in samples:
-        compare("pair", derivation_eval(d, x + y),
-                derivation_eval(d, d.solver(x + y)),
+        compare("pair", value(x + y), value(d.solver(x + y)),
                 {"x": format_word(x), "y": format_word(y)})
     return {"checked": checked, "failures": failures, "skipped": skipped,
             "passed": not failures}

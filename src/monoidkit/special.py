@@ -1,6 +1,7 @@
 """Analysis of special presentations (every relation reads w = 1):
 invertibility certificates, minimal invertible words, the units and
-right-units presentations, lazy normalization, and the transversal order.
+right-units presentations, lazy normalization, and transversal
+factorization.
 
 The relators are split into invertible pieces by Adjan's overlap
 splitting, with no search; for one relator the pieces are exactly the
@@ -512,27 +513,3 @@ def transversal_factor(ua: UnitsAnalysis, v: Word) -> TransversalFactorization:
             for j in range(i + 1, min(n, i + longest) + 1))
     cut = next(i for i in range(n + 1) if in_istar[i])
     return TransversalFactorization(v[:cut], v[cut:])
-
-
-def r_order_leq(ua: UnitsAnalysis, m: Word, n: Word) -> Verdict:
-    """m lies below n in the right-divisibility preorder exactly when the
-    transversal part of n is a prefix of the transversal part of m."""
-    wm = transversal_factor(ua, normalize_special(ua, m)).w_part
-    wn = transversal_factor(ua, normalize_special(ua, n)).w_part
-    if wm[:len(wn)] == wn:
-        return Verdict("proven", [wm, wn], 0)
-    return Verdict("refuted", [wm, wn], 0)
-
-
-def loop_generators(ua: UnitsAnalysis, a: str,
-                    budget_limit=DEFAULT_BUDGET) -> set:
-    """Words w in I with [w] and [w.a] in the same R-class; these generate
-    {m : m R ma} as a left ideal."""
-    ua.sp.alphabet.check_word((a,))
-    out = set()
-    for w in ua.I:
-        wa = w + (a,)
-        if (r_order_leq(ua, w, wa).proven
-                and r_order_leq(ua, wa, w).proven):
-            out.add(w)
-    return out

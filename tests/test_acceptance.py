@@ -66,6 +66,7 @@ from monoidkit.constructions import (
 )
 from monoidkit.cli import main
 
+from test_constructions import connected_interior
 from test_homology import oracle_rank_bareiss
 
 
@@ -170,7 +171,7 @@ def test_criterion_5_amalgam_bass_serre():
         ctx = amalgam_context(AMALGAM)
         g = bass_serre_ball_amalgam(ctx, 4)
         start = g.interior_vertex_ids()[0]
-        assert g.connected_interior(start)
+        assert connected_interior(g, start)
         assert g.forest_by_search()
         assert g.forest_by_rank()
         m = g.boundary_matrix()

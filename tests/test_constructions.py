@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from monoidkit.words import (
     EMPTY, Alphabet, Presentation, UnionFind, format_word)
-from monoidkit.rewriting import Budget, equal_words
+from monoidkit.rewriting import Budget, equal_words, normalize
 from monoidkit import constructions
 from monoidkit.cayley import cayley_ball, default_margin
 from monoidkit.constructions import (
@@ -31,7 +31,6 @@ from monoidkit.constructions import (
     check_derivation_wellformed,
     completed_solver,
     derivation_eval,
-    forest_component_products,
     free_product,
     hnn_presentation,
     op_context,
@@ -123,6 +122,34 @@ def test_hnn_presentation():
     assert ((("t", "t-"), EMPTY)) in p.relations
     assert ((("t-", "t"), EMPTY)) in p.relations
     assert ((("a", "a", "t"), ("t", "a"))) in p.relations
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_solver_matches_normalize(kind, data):
+    # ball_context is cached, so every example shares one context per kind
+    # and later examples also read words the memo already holds
+    ctx, _ = ball_context(kind, 2, 3)
+    letters = ctx.presentation.alphabet.letters
+    for word in data.draw(st.lists(st.lists(
+            st.sampled_from(letters), max_size=12).map(tuple), max_size=4)):
+        want = normalize(ctx.system, word)
+        assert ctx.solver(word) == want
+        assert ctx.solver(word) == want
+
+
+def test_memoized_solver_normalizes_each_word_once(monkeypatch):
+    # the solver calls normalize through the module global, so a wrapper
+    # put there sees every call it makes
+    calls = []
+    monkeypatch.setattr(constructions, "normalize",
+                        lambda s, v: calls.append(v) or normalize(s, v))
+    solver, _ = completed_solver(
+        Presentation(Alphabet(("a", "b")), ((w("ab"), EMPTY),)))
+    assert [solver(w("aabb")), solver(w("ba")), solver(w("aabb"))] == [
+        EMPTY, w("ba"), EMPTY]
+    assert calls == [w("aabb"), w("ba")]
 
 
 def test_completed_solver_budget():
@@ -565,19 +592,52 @@ def test_quotient_core_rejects_negative_margin(octx):
 # Bass-Serre balls
 
 
+# Interior components of a Bass-Serre graph and the multiplication map on
+# them, kept as oracles: the program itself reads neither.
+
+
+def components(g):
+    """Interior components as a map vertex id -> component id."""
+    uf = UnionFind(len(g.vertices))
+    uf.union_all((g.edges[ei].tail, g.edges[ei].head)
+                 for ei in g.interior_edge_ids())
+    # interior edges join interior vertices only
+    ordered = [c for c in uf.classes()[1] if g.vertices[c[0]].interior]
+    return {v: ci for ci, members in enumerate(ordered) for v in members}
+
+
+def connected_interior(g, start):
+    """Whether every interior vertex lies in the component of start."""
+    comp = components(g)
+    return set(comp.values()) <= {comp.get(start)}
+
+
+def forest_component_products(ctx, g):
+    """The multiplication map on interior components: each interior vertex
+    pair class maps to the normal form of the product of its pair.  Returns
+    {component id: set of products}; the two-sided lemma predicts a single
+    product per component, distinct across components."""
+    out = {}
+    for v, ci in components(g).items():
+        vertex = g.vertices[v]
+        x, y = g.vertex_balls[vertex.side].rep(vertex.class_id)
+        out.setdefault(ci, set()).add(ctx.solver(x + y))
+    return out
+
+
 def test_amalgam_tree(actx):
     g = bass_serre_ball_amalgam(actx, 4)
     assert g.interior_vertex_ids()
     assert g.forest_by_search()
     assert g.forest_by_rank()
-    assert g.connected_interior(g.interior_vertex_ids()[0])
+    assert connected_interior(g, g.interior_vertex_ids()[0])
 
 
 def test_op_tree(octx):
     g = bass_serre_ball_op(octx, 5)
     assert g.forest_by_search()
     assert g.forest_by_rank()
-    assert g.connected_interior(g.interior_vertex_ids()[0])
+    assert connected_interior(g, g.interior_vertex_ids()[0])
 
 
 def test_amalgam_forest_components(actx):
@@ -622,6 +682,66 @@ def samples_from(ctx, radius, count, seed):
                        radius, 0).vertices
     rng = random.Random(seed)
     return [(rng.choice(ball), rng.choice(ball)) for _ in range(count)]
+
+
+def oracle_check_derivation_wellformed(d, relations, samples):
+    """The per-sample loop check_derivation_wellformed replaced, kept as
+    the oracle: both values are evaluated again for every sample."""
+    failures = []
+    skipped = []
+    checked = 0
+
+    def compare(kind, left, right, detail):
+        nonlocal checked
+        if not (left.resolved and right.resolved):
+            skipped.append({"kind": kind, **detail})
+            return
+        checked += 1
+        if left.ze != right.ze:
+            failures.append({"kind": kind, **detail})
+
+    for lhs, rhs in relations:
+        compare("relation", derivation_eval(d, lhs), derivation_eval(d, rhs),
+                {"lhs": format_word(lhs), "rhs": format_word(rhs)})
+    for x, y in samples:
+        compare("pair", derivation_eval(d, x + y),
+                derivation_eval(d, d.solver(x + y)),
+                {"x": format_word(x), "y": format_word(y)})
+    return {"checked": checked, "failures": failures, "skipped": skipped,
+            "passed": not failures}
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "otto_pride", "forest"])
+@pytest.mark.parametrize("broken", [False, True])
+def test_derivation_check_counts_repeated_samples(kind, broken):
+    # samples from a radius-2 ball repeat many times, and words of the
+    # radius-3 ball leave the radius-2 edge ball; a broken derivation
+    # also fails some checks, so all three counts are exercised
+    ctx, _ = ball_context("amalgam" if kind == "amalgam" else "otto_pride",
+                          2, 3 if kind == "amalgam" else 1)
+    if kind == "forest":
+        g = bass_serre_forest_bi(ctx, "otto_pride", 2, margin=1)
+        d = op_forest_derivation(ctx, g.edge_ball)
+    else:
+        build = (bass_serre_ball_amalgam if kind == "amalgam"
+                 else bass_serre_ball_op)
+        g = build(ctx, 2)
+        d = (amalgam_derivation if kind == "amalgam" else op_derivation)(
+            ctx, g.edge_ball)
+    if broken:
+        # the first letter also takes the last letter's first term, which
+        # the relations do not balance
+        first, *_, last = ctx.presentation.alphabet.letters
+        d = dataclasses.replace(d, images={
+            **d.images, first: d.images[first] + d.images[last][:1]})
+    samples = samples_from(ctx, 2, 60, 5) + samples_from(ctx, 3, 60, 6)
+    samples += samples[:30]
+    relations = list(ctx.presentation.relations)
+    got = check_derivation_wellformed(d, relations, samples)
+    assert got == oracle_check_derivation_wellformed(d, relations, samples)
+    assert got["checked"] + len(got["skipped"]) == len(relations) + len(
+        samples)
+    assert got["skipped"] and bool(got["failures"]) == broken
 
 
 def test_amalgam_derivation(actx):
@@ -937,8 +1057,9 @@ def test_bass_serre_labels_are_formatted_on_read(monkeypatch, kind, forest):
     # its representative, [u]side for a word and [x,y]side for a pair
     formatted = []
     fmt = constructions._format
-    monkeypatch.setattr(constructions, "_format",
-                        lambda x: formatted.append(x) or fmt(x))
+    monkeypatch.setattr(
+        constructions, "_format",
+        lambda x, *names: formatted.append(x) or fmt(x, *names))
     ctx, _ = ball_context(kind, 2, 3)
     g = build_graph(kind, forest, ctx, 3, 10**6, 1)
     assert g.vertices and g.edges and not formatted

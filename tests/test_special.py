@@ -9,6 +9,7 @@ from monoidkit.rewriting import (
     DEFAULT_BUDGET,
     Budget,
     BudgetExhausted,
+    Verdict,
     _witness_path,
     equal_words,
     knuth_bendix,
@@ -26,9 +27,7 @@ from monoidkit.special import (
     certify_invertible,
     compute_delta,
     compute_I_I0,
-    loop_generators,
     normalize_special,
-    r_order_leq,
     right_units_presentation,
     torsion_flag,
     transversal_factor,
@@ -589,6 +588,33 @@ def test_irreducible_concat_stays_irreducible(ua_bicyclic, ua_involution):
             for u in irr:
                 if len(t) + len(u) <= 6:
                     assert normalize_special(ua, t + u) == t + u, (t, u)
+
+
+# The R-order and the loop generators it gives, kept as oracles: the program
+# itself reads neither.
+
+
+def r_order_leq(ua, m, n):
+    """m lies below n in the right-divisibility preorder exactly when the
+    transversal part of n is a prefix of the transversal part of m."""
+    wm = transversal_factor(ua, normalize_special(ua, m)).w_part
+    wn = transversal_factor(ua, normalize_special(ua, n)).w_part
+    if wm[:len(wn)] == wn:
+        return Verdict("proven", [wm, wn], 0)
+    return Verdict("refuted", [wm, wn], 0)
+
+
+def loop_generators(ua, a):
+    """Words w in I with [w] and [w.a] in the same R-class; these generate
+    {m : m R ma} as a left ideal."""
+    ua.sp.alphabet.check_word((a,))
+    out = set()
+    for w in ua.I:
+        wa = w + (a,)
+        if (r_order_leq(ua, w, wa).proven
+                and r_order_leq(ua, wa, w).proven):
+            out.add(w)
+    return out
 
 
 def test_r_order(ua_bicyclic):
