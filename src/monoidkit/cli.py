@@ -32,6 +32,7 @@ from .rewriting import (
     RewritingError,
     equal_words,
     knuth_bendix,
+    normalize,
     normalize_trace,
     orient_system,
 )
@@ -316,9 +317,11 @@ def cmd_analyze_special(args):
 
 
 def _ball_from_args(args, p, margin=None):
-    solver, _ = completed_solver(p, args.budget)
+    # each word of the ball is normalized once, so no memo
+    _, system = completed_solver(p, args.budget)
     margin = margin if margin is not None else default_margin(p)
-    return cayley_ball(solver, p.alphabet, args.radius, margin)
+    return cayley_ball(lambda w: normalize(system, w), p.alphabet,
+                       args.radius, margin)
 
 
 def cmd_cayley(args):

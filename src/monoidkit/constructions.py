@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import chain, repeat
 
 from .words import (
@@ -185,15 +185,7 @@ def completed_solver(p: Presentation, budget_limit=DEFAULT_BUDGET):
         raise IncompleteSystemError(
             "completion did not finish within budget")
     system = result.system
-    memo = {}
-
-    def solver(w):
-        nf = memo.get(w)
-        if nf is None:
-            nf = memo[w] = normalize(system, w)
-        return nf
-
-    return solver, system
+    return cache(lambda w: normalize(system, w)), system
 
 
 @dataclass(frozen=True)
@@ -576,11 +568,10 @@ class BassSerreGraph:
         }
 
     def to_dot(self):
-        names = cache(format_word)
         lines = [f"graph bass_serre {{"]
         for i, v in enumerate(self.vertices):
             style = "" if v.interior else ", style=dashed"
-            lines.append(f'  v{i} [label="{v.label_with(names)}"{style}];')
+            lines.append(f'  v{i} [label="{v.label}"{style}];')
         for e in self.edges:
             style = "" if e.interior else " [style=dashed]"
             lines.append(f"  v{e.tail} -- v{e.head}{style};")
@@ -880,13 +871,7 @@ def check_derivation_wellformed(d: DerivationSpec, relations,
     failures = []
     skipped = []
     checked = 0
-    values = {}     # word -> its derivation value, evaluated once
-
-    def value(word):
-        v = values.get(word)
-        if v is None:
-            v = values[word] = derivation_eval(d, word)
-        return v
+    value = cache(partial(derivation_eval, d))  # once per distinct word
 
     def compare(kind, left, right, detail):
         nonlocal checked
