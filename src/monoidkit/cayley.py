@@ -21,6 +21,11 @@ class CayleyError(Exception):
     pass
 
 
+def dot_quoted(s: str) -> str:
+    """s as a DOT quoted string: each backslash and double quote escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 @dataclass
 class LabeledDigraph:
     alphabet: Alphabet
@@ -53,9 +58,10 @@ class LabeledDigraph:
         lines = ["digraph cayley {"]
         for i, label in enumerate(self.vertices):
             shape = "" if self.interior[i] else ", style=dashed"
-            lines.append(f'  v{i} [label="{format_word(label)}"{shape}];')
+            lines.append(f'  v{i} [label={dot_quoted(format_word(label))}'
+                         f'{shape}];')
         for s, d, a in self.arcs:
-            lines.append(f'  v{s} -> v{d} [label="{a}"];')
+            lines.append(f'  v{s} -> v{d} [label={dot_quoted(a)}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -121,6 +121,11 @@ def _json_text(o, newline="\n"):
                 scalar(o[k]) if scalar else _json_text(o[k], inner)))
         brackets = "{}"
     elif isinstance(o, (list, tuple)):
+        # from 8 records on, one row template beats writing row by row
+        if len(o) >= 8 and type(o[0]) is dict:
+            text = _records_text(o, newline)
+            if text:
+                return text
         for v in o:
             scalar = _SCALARS.get(type(v))
             items.append(scalar(v) if scalar else _json_text(v, inner))
@@ -131,6 +136,32 @@ def _json_text(o, newline="\n"):
         return brackets
     return (brackets[0] + inner + ("," + inner).join(items) + newline
             + brackets[1])
+
+
+def _records_text(rows, newline):
+    """_json_text of a list of dicts (exact type) with one key set and only
+    scalar values, written column by column into one row template; None
+    for any other list, which then takes the general path.  A key that is
+    no str raises TypeError, as on the general path."""
+    keys = rows[0].keys()
+    if not (keys and set(map(type, rows[0].values())) <= _SCALARS.keys()
+            and all(type(r) is dict and r.keys() == keys for r in rows)):
+        return None
+    keys = sorted(keys)
+    columns = []
+    for k in keys:
+        column = [r[k] for r in rows]
+        kinds = set(map(type, column))
+        if not kinds <= _SCALARS.keys():
+            return None
+        columns.append(map(_SCALARS[kinds.pop()], column) if len(kinds) == 1
+                       else [_SCALARS[type(v)](v) for v in column])
+    inner, field = newline + "  ", newline + "    "
+    row = ("{" + field + ("," + field).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+        + inner + "}")
+    return ("[" + inner + ("," + inner).join(map(row.__mod__, zip(*columns)))
+            + newline + "]")
 
 
 def _emit_json(args, payload):

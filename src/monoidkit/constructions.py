@@ -33,7 +33,7 @@ from .rewriting import (
     normalize,
     orient_system,
 )
-from .cayley import LabeledDigraph, cayley_ball, default_margin
+from .cayley import LabeledDigraph, cayley_ball, default_margin, dot_quoted
 from .homology import SparseIntMatrix, rank_exact
 
 
@@ -478,11 +478,7 @@ class _Labelled:
     @property
     def label(self) -> str:
         """[representative]side, formatted only when it is read."""
-        return self.label_with(format_word)
-
-    def label_with(self, names) -> str:
-        """The label, with names formatting each word."""
-        return f"[{_format(self.rep, names)}]{self.side}"
+        return f"[{_format(self.rep)}]{self.side}"
 
 
 @dataclass
@@ -550,18 +546,20 @@ class BassSerreGraph:
         return rank_exact(m) == m.cols
 
     def to_json(self):
-        names = cache(format_word)  # each word formatted once per artifact
+        # each word and each representative formatted once per artifact
+        names = cache(format_word)
+        rep = cache(lambda x: _format(x, names))
         return {
             "kind": self.kind,
             "radius": self.radius,
             "vertices": [
-                {"id": i, "side": v.side, "label": v.label_with(names),
+                {"id": i, "side": v.side, "label": f"[{rep(v.rep)}]{v.side}",
                  "interior": v.interior}
                 for i, v in enumerate(self.vertices)
             ],
             "edges": [
                 {"tail": e.tail, "head": e.head,
-                 "label": e.label_with(names), "interior": e.interior}
+                 "label": f"[{rep(e.rep)}]{e.side}", "interior": e.interior}
                 for e in self.edges
             ],
             "diagnostics": self.diagnostics,
@@ -571,7 +569,7 @@ class BassSerreGraph:
         lines = [f"graph bass_serre {{"]
         for i, v in enumerate(self.vertices):
             style = "" if v.interior else ", style=dashed"
-            lines.append(f'  v{i} [label="{v.label}"{style}];')
+            lines.append(f'  v{i} [label={dot_quoted(v.label)}{style}];')
         for e in self.edges:
             style = "" if e.interior else " [style=dashed]"
             lines.append(f"  v{e.tail} -- v{e.head}{style};")
@@ -612,7 +610,16 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
     head_of = [None if x is None else head_ball.class_of[x] for x in heads]
     edges = []
     diagnostics = []
+    unsettled = edge_ball.partial
     for ci, members in enumerate(edge_ball.classes):
+        first = members[0]
+        tail, head = tail_of[first], head_of[first]
+        if len(members) == 1:   # the rule below, for a class of one member
+            if tail is not None and head is not None:
+                edges.append(BSEdge(
+                    ci, tail_base + tail, head_base + head, edge_side,
+                    edge_ball.elements[first], not unsettled[ci]))
+            continue
         ts = set(map(tail_of.__getitem__, members))
         hs = set(map(head_of.__getitem__, members))
         leaves = None in ts or None in hs
@@ -623,8 +630,6 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
                 "kind": "edge_incidence_unresolved", "edge_class": ci})
         if not ts or not hs:
             continue    # the whole edge leaves the ball
-        first = members[0]
-        tail, head = tail_of[first], head_of[first]
         if tail is None:
             tail = next(tail_of[i] for i in members if tail_of[i] is not None)
         if head is None:
@@ -632,8 +637,7 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
         edges.append(BSEdge(
             ci, tail_base + tail, head_base + head, edge_side,
             edge_ball.elements[first],
-            not (edge_ball.partial[ci] or leaves or len(ts) > 1
-                 or len(hs) > 1)))
+            not (unsettled[ci] or leaves or len(ts) > 1 or len(hs) > 1)))
     return BassSerreGraph(kind, radius, vertices, edges, diagnostics,
                           vertex_balls, edge_ball)
 

@@ -1,6 +1,6 @@
 """Exact integer linear algebra: sparse matrices, one sparse elimination
-core for rank, kernel vectors and Smith normal form, boundary-injectivity
-certificates, and homology of finite chain complexes.
+core for rank, kernel vectors and Smith normal form, and homology of
+finite chain complexes.
 
 Exactness is read from homology: each defect is a Betti number of the
 complex augmented by its optional augmentation.
@@ -76,17 +76,6 @@ class SparseIntMatrix:
         return not self.entries
 
     @classmethod
-    def from_dense(cls, dense):
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        m = cls(rows, cols)
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    m[r, c] = v
-        return m
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
@@ -96,16 +85,6 @@ class SparseIntMatrix:
         for (r, c) in sorted(self.entries):
             lines.append(f"{r} {c} {self.entries[r, c]}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_triplets(cls, text: str) -> "SparseIntMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows, cols, nnz = (int(x) for x in lines[0].split())
-        m = cls(rows, cols)
-        for ln in lines[1:nnz + 1]:
-            r, c, v = ln.split()
-            m[int(r), int(c)] = int(v)
-        return m
 
 
 @dataclass

@@ -42,7 +42,6 @@ from monoidkit.cayley import (
     scc_condense,
 )
 from monoidkit.homology import (
-    SparseIntMatrix,
     exactness_check,
     rank_exact,
     smith_normal_form,
@@ -67,7 +66,7 @@ from monoidkit.constructions import (
 from monoidkit.cli import main
 
 from test_constructions import connected_interior
-from test_homology import oracle_rank_bareiss
+from test_homology import M, oracle_rank_bareiss
 
 
 def sp(text):
@@ -278,7 +277,7 @@ def test_criterion_8_smith_vs_determinantal_divisors():
         for trial in range(200):
             dense = [[rng.randint(-3, 3) for _ in range(5)]
                      for _ in range(5)]
-            m = SparseIntMatrix.from_dense(dense)
+            m = M(dense)
             sf = smith_normal_form(m)
             assert sf.rank == oracle_rank_bareiss(m)
             gcds = _minor_gcds(dense, sf.rank)

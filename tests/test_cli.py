@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoidkit import cli, constructions, special
 from monoidkit.cayley import cayley_complex_chain
@@ -219,6 +220,39 @@ def test_cayley_json_and_dot(capsys, bicyclic_file):
     code, out = run(capsys, "cayley", "--presentation", bicyclic_file,
                     "--radius", "2", "--format", "dot")
     assert code == 0 and out.startswith("digraph")
+
+
+def dot_strings(dot):
+    """Every quoted string of a DOT text, read back: \\" and \\\\ are
+    escapes."""
+    return [re.sub(r"\\(.)", r"\1", q)
+            for q in re.findall(r'"((?:[^"\\]|\\.)*)"', dot)]
+
+
+def test_dot_labels_are_quoted(capsys, tmp_path):
+    # letters with a double quote and a backslash, which a DOT quoted
+    # string must escape
+    pres = tmp_path / "quotes.txt"
+    pres.write_text('letters: a"b c\\ \\"\n')
+    argv = ["cayley", "--presentation", str(pres), "--radius", "1"]
+    _, data = run_json(capsys, *argv)
+    code, dot = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    assert dot_strings(dot) == [v["label"] for v in data["vertices"]] + [
+        a["letter"] for a in data["arcs"]]
+    assert 'a"b' in dot_strings(dot) and '\\"' in dot_strings(dot)
+    spec = tmp_path / "quotes.json"
+    spec.write_text(json.dumps({
+        "kind": "amalgam", "m1": {"letters": ['x"']},
+        "m2": {"letters": ["y\\"]}, "w": {"letters": ["w"]},
+        "f1": {"w": 'x" x"'}, "f2": {"w": "y\\ y\\ y\\"}}))
+    argv = ["bass-serre", "--kind", "amalgam", "--spec", str(spec),
+            "--radius", "3"]
+    _, data = run_json(capsys, *argv)
+    code, dot = run(capsys, *argv, "--format", "dot")
+    assert code == 0
+    assert dot_strings(dot) == [v["label"] for v in data["vertices"]]
+    assert '[x" y\\]M1' in dot_strings(dot)
 
 
 def test_condense(capsys, bicyclic_file):
@@ -670,9 +704,61 @@ def test_json_text_is_json_dumps(value):
                                                indent=2)
 
 
+class Record(dict):
+    pass
+
+
+# cells of one column: all of one scalar type, or mixed
+COLUMNS = [st.text(), st.integers(-10**30, 10**30), st.booleans(), st.none(),
+           st.text() | st.integers(-10**30, 10**30) | st.booleans()
+           | st.none()]
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of flat records over one shared key set, each row built in
+    its own key order; some have one row that breaks the pattern.  Lists
+    of 8 or more records take the record path."""
+    keys = draw(st.lists(
+        st.text() | st.sampled_from(["%", "%s", "a%%b", '"', 'q"%', "é",
+                                     "\u2603", "\\"]),
+        min_size=1, max_size=5, unique=True))
+    cells = {k: draw(st.sampled_from(COLUMNS)) for k in keys}
+    rows = []
+    for _ in range(draw(st.integers(2, 14))):
+        values = {k: draw(cells[k]) for k in keys}
+        rows.append({k: values[k] for k in draw(st.permutations(keys))})
+    i = draw(st.integers(0, len(rows) - 1))
+    odd = draw(st.sampled_from(
+        [None, "extra", "missing", "nested", "subclass", "scalar"]))
+    if odd == "extra":
+        rows[i][draw(st.text().filter(lambda k: k not in keys))] = 1
+    elif odd == "missing":
+        del rows[i][keys[0]]
+    elif odd == "nested":
+        rows[i][keys[0]] = draw(st.sampled_from([[], [1, "a"], {"n": None}]))
+    elif odd == "subclass":
+        rows[i] = Record(rows[i])
+    elif odd == "scalar":
+        rows[i] = draw(st.integers() | st.text() | st.none())
+    wrap = draw(st.sampled_from([list, tuple, lambda r: {"rows": [r]}]))
+    return wrap(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_lists())
+@example([{"%s": i, 'q"%': "é", "a": i % 2 == 0} for i in range(8)])
+def test_json_text_writes_records_as_json_dumps(value):
+    # the record path writes what json.dumps writes, and a list that
+    # breaks the pattern falls back to the general path
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True,
+                                               indent=2)
+
+
 @pytest.mark.parametrize("value", [1.5, [0.0], {"a": {1, 2}}, {1: "a"},
                                    {"a": {None: 1}}, {"a": 1, 2: 3},
-                                   [b"bytes"]])
+                                   [b"bytes"], [{"a": 1}, {"a": 1.5}],
+                                   [{1: "a"}, {1: "b"}]])
 def test_json_text_rejects_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)

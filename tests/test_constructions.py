@@ -1010,6 +1010,7 @@ def graph_cases(draw):
 @example(("otto_pride", False, 1, 1, 1, 10**6, 0))
 @example(("otto_pride", True, 1, 1, 1, 10**6, 0))
 @example(("otto_pride", True, 4, 1, 5, 10**6, 2))
+@example(("amalgam", True, 3, 4, 5, 10**6, 2))
 def test_bass_serre_builder_matches_oracles(case):
     kind, forest, p, q, radius, budget, margin = case
     ctx, _ = ball_context(kind, p, q)

