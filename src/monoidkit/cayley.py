@@ -38,9 +38,6 @@ class LabeledDigraph:
     # label -> vertex id
     ids: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def interior_ids(self):
-        return [i for i, flag in enumerate(self.interior) if flag]
-
     def to_json(self):
         return {
             "radius": self.radius,
@@ -115,7 +112,6 @@ class CondensationReport:
     root_scc: int
     partial_sccs: tuple     # scc indices containing a non-interior vertex
     is_tree: Verdict = None
-    entrance_violations: list = field(default_factory=list)
 
     def interior_sccs(self):
         partial = set(self.partial_sccs)
@@ -129,7 +125,6 @@ class CondensationReport:
             ],
             "root_scc": self.root_scc,
             "partial_sccs": list(self.partial_sccs),
-            "entrance_violations": self.entrance_violations,
         }
         if self.is_tree is not None:
             out["is_tree"] = self.is_tree.value
@@ -137,56 +132,48 @@ class CondensationReport:
 
 
 def scc_condense(g: LabeledDigraph) -> CondensationReport:
-    """Tarjan's algorithm (iterative), then the condensation with arcs
-    deduplicated per (source component, target component, letter)."""
+    """Kosaraju's two passes (iterative): the finishing order of a search
+    along the arcs, then the components of a search against them in reverse
+    finishing order; then the condensation with arcs deduplicated per
+    (source component, target component, letter)."""
     n = len(g.vertices)
     out_arcs = [[] for _ in range(n)]
-    for s, d, a in g.arcs:
+    in_arcs = [[] for _ in range(n)]
+    for s, d, _ in g.arcs:
         out_arcs[s].append(d)
+        in_arcs[d].append(s)
 
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
+    seen = [False] * n
+    finished = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        work = [(start, iter(out_arcs[start]))]
+        while work:
+            v, pending = work[-1]
+            for u in pending:
+                if not seen[u]:
+                    seen[u] = True
+                    work.append((u, iter(out_arcs[u])))
+                    break
+            else:
+                work.pop()
+                finished.append(v)
+
     comp_of = [None] * n
     comps = []
-    counter = 0
-    for start in range(n):
-        if index[start] is not None:
+    for start in reversed(finished):
+        if comp_of[start] is not None:
             continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(out_arcs[v])):
-                u = out_arcs[v][k]
-                if index[u] is None:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
+        comp_of[start] = len(comps)
+        comp = [start]
+        for v in comp:      # grows while it is read
+            for u in in_arcs[v]:
+                if comp_of[u] is None:
+                    comp_of[u] = len(comps)
                     comp.append(u)
-                    if u == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+        comps.append(sorted(comp))
 
     comps.sort(key=lambda c: c[0])
     for ci, comp in enumerate(comps):
@@ -269,19 +256,15 @@ def check_unique_entrance(g: LabeledDigraph, rep: CondensationReport,
                     "kind": "entrance_not_transversal", "scc": ci,
                     "label": format_word(label),
                 })
-    rep.entrance_violations = violations
     return violations
 
 
-def hasse_prefix_tree(ua, ball: LabeledDigraph,
-                      labels=None) -> LabeledDigraph:
+def hasse_prefix_tree(ua, ball: LabeledDigraph, labels) -> LabeledDigraph:
     """Hasse diagram of the reverse prefix order on the transversal parts
-    of the given labels (default: the ball's interior labels).  The parent
-    of a transversal word is its longest proper prefix in the set."""
+    of the given labels of the ball.  The parent of a transversal word is
+    its longest proper prefix in the set."""
     from .special import transversal_factor
 
-    if labels is None:
-        labels = [ball.vertices[i] for i in ball.interior_ids()]
     parts = {transversal_factor(ua, l).w_part for l in labels}
     alphabet = ball.alphabet
     ordered = sorted(parts, key=alphabet.shortlex_key)

@@ -428,14 +428,10 @@ def _bass_serre_context(args):
 
 
 def _bass_serre_graph(args, ctx):
-    kwargs = {"margin": args.margin} if args.margin is not None else {}
-    if args.forest:
-        return bass_serre_forest_bi(ctx, args.kind.replace("-", "_"),
-                                    args.radius, args.budget, **kwargs)
-    if args.kind == "amalgam":
-        return bass_serre_ball_amalgam(ctx, args.radius, args.budget,
-                                       **kwargs)
-    return bass_serre_ball_op(ctx, args.radius, args.budget, **kwargs)
+    build = (bass_serre_forest_bi if args.forest
+             else bass_serre_ball_amalgam if args.kind == "amalgam"
+             else bass_serre_ball_op)
+    return build(ctx, args.radius, args.budget, args.margin)
 
 
 def cmd_bass_serre(args):

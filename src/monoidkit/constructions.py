@@ -219,15 +219,11 @@ class OPContext:
         self.phi = dict(zip(self.a_gens,
                             _phi_images(self.a_gens, spec.phi)))
         self._longest_gen = max((len(g) for g in self.a_gens), default=0)
-        self._a_pools = {}
         self._factor_tables = {}
 
     def a_elements(self, max_len: int):
         """Normal forms of A-elements up to max_len with one generator
-        decomposition each (BFS, so shortest product first).  Built once
-        per max_len; the dict is shared, so callers must not change it."""
-        if max_len in self._a_pools:
-            return self._a_pools[max_len]
+        decomposition each (BFS, so shortest product first)."""
         seen = {EMPTY: ()}
         frontier = [EMPTY]
         while frontier:
@@ -239,15 +235,13 @@ class OPContext:
                         seen[prod] = seen[w] + (g,)
                         nxt.append(prod)
             frontier = nxt
-        self._a_pools[max_len] = seen
         return seen
 
     def _factor_table(self, max_len: int):
         """The normal form of c.a, for every basis word c and pooled
         A-element a, mapped to its factorization: the first (c, a, gens) in
         basis-then-pool order, or, when several distinct (c, a) give it,
-        the text that reports them all.  Built once per max_len, like the
-        pool itself."""
+        the text that reports them all.  Built once per max_len."""
         if max_len in self._factor_tables:
             return self._factor_tables[max_len]
         found = {}
@@ -727,17 +721,15 @@ def bass_serre_ball_op(ctx: OPBallContext, radius: int,
         "A", ball(ctx.a_images, "L/A"), ends)
 
 
-def bass_serre_forest_bi(ctx, kind: str, radius: int,
-                         budget_limit=DEFAULT_BUDGET, margin: int = None):
+def bass_serre_forest_bi(ctx, radius: int, budget_limit=DEFAULT_BUDGET,
+                         margin: int = None):
     """Two-sided forest on tensor classes of pairs.
 
-    amalgam: vertices are pair classes over M1 and over M2, the edge of
-    [x,y]_W joins them.  otto_pride: vertices are pair classes over M and
-    the edge of [x,y]_A runs from [x,ty]_M to [xt,y]_M."""
-    if kind not in ("amalgam", "otto_pride"):
-        raise ConstructionError(f"unknown forest kind {kind!r}")
+    AmalgamContext: vertices are pair classes over M1 and over M2, the edge
+    of [x,y]_W joins them.  OPBallContext: vertices are pair classes over M
+    and the edge of [x,y]_A runs from [x,ty]_M to [xt,y]_M."""
     ball = _balls(pair_quotient_ball, ctx, radius, budget_limit, margin)
-    if kind == "amalgam":
+    if isinstance(ctx, AmalgamContext):
         return _bass_serre(
             "amalgam_forest", radius,
             {"M1": ball([(a,) for a in ctx.m1_letters], "LxL/M1"),

@@ -324,21 +324,18 @@ def critical_pairs(s: RewriteSystem):
             yield left, right, (kind, i, j, p)
 
 
-def _interreduce(alphabet: Alphabet, rules, clean=(),
+def _interreduce(alphabet: Alphabet, rules,
                  index: _LiveIndex = None) -> RewriteSystem:
     """Canonical interreduced rule set: no lhs/rhs reducible by another rule.
 
-    The rules enter index (the live index of an earlier call, all of whose
-    rules are irreducible) or a new one.  Each round reduces the first
-    reducible rule in key order through the index, skipping the rule
-    itself; the system of the round that changes nothing shares the index.
-    The rules of clean (by identity) are known irreducible by the others;
-    rules leaving reduce nothing, so a known rule is tested again only
-    after a rule whose lhs occurs in its sides enters."""
+    The rules enter index (the live index of an earlier call) or a new one.
+    The rules already in the index are known irreducible by each other;
+    rules leaving reduce nothing, so such a rule is tested again only after
+    a rule whose lhs occurs in its sides enters.  Each round reduces the
+    first reducible rule in key order through the index, skipping the rule
+    itself; the system of the round that changes nothing shares the index."""
     index = index or _LiveIndex(alphabet)
-    clean = set(map(id, clean))
-    entered = [rank for rank, rule in zip(map(index.enter, rules), rules)
-               if id(rule) not in clean]
+    entered = list(map(index.enter, rules))
     dirty = set(entered)
     while True:
         for new in entered:
@@ -410,7 +407,7 @@ def knuth_bendix(s: RewriteSystem, budget_limit=DEFAULT_BUDGET) -> CompletionRes
                     current.with_status(COMPLETE), True, budget.spent)
             old = set(index.order)
             current = _interreduce(
-                alphabet, (_rule(alphabet, u, v),), (), index)
+                alphabet, (_rule(alphabet, u, v),), index)
             entered = [index.key(rank)[1] for rank in index.order
                        if rank not in old]
             joins = {key: join for key, join in joins.items()
@@ -462,13 +459,7 @@ def _witness_path(parents, target):
     return path[::-1]
 
 
-def default_ball_cap(p: Presentation, u: Word, v: Word) -> int:
-    longest = max([1] + [len(x) for rel in p.relations for x in rel])
-    return max(len(u), len(v)) + 2 * longest
-
-
-def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
-                max_len: int = None) -> Verdict:
+def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET) -> Verdict:
     """Three-valued word equality.
 
     With a completed RewriteSystem, compares normal forms (may refute).
@@ -490,7 +481,8 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET,
     p: Presentation = ctx
     if u == v:
         return Verdict("proven", [u], 0)
-    cap = max_len if max_len is not None else default_ball_cap(p, u, v)
+    longest = max([1] + [len(x) for rel in p.relations for x in rel])
+    cap = max(len(u), len(v)) + 2 * longest
     budget = Budget(budget_limit)
     try:
         parents = _ball_with_parents(p, u, cap, budget)

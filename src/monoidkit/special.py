@@ -84,36 +84,9 @@ def _unit_ball(sp: SpecialPresentation, max_len: int, budget: Budget):
         return e.partial, False
 
 
-class _InverseIndex:
-    """Shortest right and left inverses within one unit ball, built in one
-    pass: for each prefix (suffix) of length at most max_len, the first ball
-    word that has it.  The cap keeps the index small; callers ask only about
-    words that short.  Ties go to the first word in (len(w), w) order, which
-    compares letter names as Python strings, not by alphabet.shortlex_key;
-    that order is kept on purpose so that artifacts stay byte-identical."""
-
-    def __init__(self, ball_parents, max_len: int):
-        self.parents = ball_parents
-        self.by_prefix, self.by_suffix = {}, {}
-        for w in sorted(ball_parents, key=lambda x: (len(x), x)):
-            n = len(w)
-            for k in range(min(n, max_len) + 1):
-                self.by_prefix.setdefault(w[:k], w)
-                self.by_suffix.setdefault(w[n - k:], w)
-
-    def certify(self, u: Word) -> InvertibilityCertificate | None:
-        right, left = self.by_prefix.get(u), self.by_suffix.get(u)
-        if right is None or left is None:
-            return None
-        return InvertibilityCertificate(
-            u, right[len(u):], left[:len(left) - len(u)],
-            _witness_path(self.parents, right)[::-1],
-            _witness_path(self.parents, left)[::-1])
-
-
 def _invertible_in(ball_parents, max_len: int) -> set:
     """The words of length 1 to max_len that are a prefix and a suffix of
-    words of the unit ball: those that _InverseIndex.certify certifies."""
+    words of the unit ball: those that certify_invertible certifies from it."""
     heads = {b[:max_len] for b in ball_parents}
     tails = {b[-max_len:] for b in ball_parents}
     return ({h[:k] for h in heads for k in range(1, len(h) + 1)}
@@ -136,10 +109,19 @@ def certify_invertible(sp: SpecialPresentation, u: Word,
     """
     budget = Budget(budget_limit)
     cap = 2 * len(u) + 2 * _longest_relator(sp)
-    parents, closed = _unit_ball(sp, cap, budget)
-    cert = _InverseIndex(parents, len(u)).certify(u)
-    if cert is not None:
-        return Verdict("proven", [cert], budget.spent)
+    parents, _ = _unit_ball(sp, cap, budget)
+    # the shortest inverses, ties to the first word in (len(w), w) order,
+    # which compares letter names as Python strings, not by
+    # alphabet.shortlex_key; kept so that certificates stay byte-identical
+    ball = sorted(parents, key=lambda w: (len(w), w))
+    n = len(u)
+    right = next((w for w in ball if w[:n] == u), None)
+    left = next((w for w in ball if w[len(w) - n:] == u), None)
+    if right is not None and left is not None:
+        return Verdict("proven", [InvertibilityCertificate(
+            u, right[n:], left[:len(left) - n],
+            _witness_path(parents, right)[::-1],
+            _witness_path(parents, left)[::-1])], budget.spent)
     if system is not None and system.status == COMPLETE:
         nf = normalize(system, u)
         if nf != EMPTY and _dead_letter(system, nf):
@@ -308,18 +290,14 @@ def compute_delta(sp: SpecialPresentation,
         ua.certified = False
 
     delta = set()
-    candidates = []
-    for n in range(1, min_len + 1):
-        candidates.extend(alphabet.words_of_length(n))
     pieces = sorted({f for fl in ua.factors for f in fl},
                     key=alphabet.shortlex_key)
     # the candidates' prefixes are candidates, and no other word is asked
     invertible = found | _invertible_in(ball, min_len)
-    for c in candidates:
-        if c not in invertible:
-            continue
-        if any(c[:k] in invertible for k in range(1, len(c))):
-            continue  # decomposable
+    for c in sorted(invertible, key=alphabet.shortlex_key):
+        if len(c) > min_len or any(
+                c[:k] in invertible for k in range(1, len(c))):
+            continue  # too long to be a candidate, or decomposable
         if any(equal_words(sp.base, c, f, budget_limit).proven
                for f in pieces):
             delta.add(c)

@@ -71,6 +71,10 @@ class Alphabet:
         for a in self.letters:
             if not isinstance(a, str):
                 raise WordError(f"letter {a!r} is not a string")
+            # words are written as letters joined by spaces, 1 for the
+            # empty word, so these letters would read back as other words
+            if a.split() != [a] or a == "1":
+                raise WordError(f"letter {a!r} cannot be written in a word")
             if a in seen:
                 raise DuplicateLetterError(a)
             seen.add(a)

@@ -237,7 +237,7 @@ def test_criterion_7_derivations():
         beta = check_beta_section(og, od)
         assert beta["failures"] == [] and beta["checked"] > 0
 
-        fg = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
+        fg = bass_serre_forest_bi(octx, 4, margin=2)
         fd = op_forest_derivation(octx, fg.edge_ball)
         rep = check_derivation_wellformed(
             fd, list(octx.presentation.relations), sampled(octx, 3, 1000))

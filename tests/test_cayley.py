@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -175,6 +177,44 @@ def digraphs(draw):
                           radius, 0)
 
 
+def oracle_sccs(g):
+    """The classes of mutual reachability, from a plain BFS out of every
+    vertex, in order of their least vertex."""
+    succ = [set() for _ in g.vertices]
+    for s, d, _ in g.arcs:
+        succ[s].add(d)
+    reach = []
+    for v in range(len(g.vertices)):
+        seen, queue = {v}, deque([v])
+        while queue:
+            for u in succ[queue.popleft()] - seen:
+                seen.add(u)
+                queue.append(u)
+        reach.append(seen)
+    return sorted({tuple(sorted(u for u in reach[v] if v in reach[u]))
+                   for v in range(len(g.vertices))})
+
+
+def assert_sccs_match_reachability(g):
+    rep = scc_condense(g)
+    assert list(rep.sccs) == oracle_sccs(g)
+    assert all(v in rep.sccs[ci] for v, ci in enumerate(rep._comp_of))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_matches_mutual_reachability(g):
+    assert_sccs_match_reachability(g)
+
+
+@pytest.mark.parametrize("relator", ["a a b", "a b a b", "a b c"])
+@pytest.mark.parametrize("radius", [1, 3, 5])
+def test_scc_matches_mutual_reachability_on_balls(relator, radius):
+    letters = " ".join(sorted(set(relator.split())))
+    p = sp(f"letters: {letters}\nrel: {relator} = 1")
+    assert_sccs_match_reachability(ball_for(p, radius))
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_unique_entrance_matches_per_component_scan(g):
@@ -182,10 +222,14 @@ def test_unique_entrance_matches_per_component_scan(g):
     assert check_unique_entrance(g, rep) == oracle_unique_entrance(g, rep)
 
 
+def interior_labels(g):
+    return [label for label, inside in zip(g.vertices, g.interior) if inside]
+
+
 def test_hasse_tree_bicyclic():
     ua = compute_delta(BICYCLIC)
     g = ball_for(BICYCLIC, 8)
-    h = hasse_prefix_tree(ua, g)
+    h = hasse_prefix_tree(ua, g, interior_labels(g))
     labels = ["".join(l) for l in h.vertices]
     assert labels == ["", "b", "bb", "bbb", "bbbb", "bbbbb", "bbbbbb"]
     # a path: each vertex except the root has exactly one parent
@@ -202,7 +246,7 @@ def test_condensation_matches_hasse_bicyclic():
 def test_hasse_tree_involution_single_node():
     ua = compute_delta(INVOLUTION)
     g = ball_for(INVOLUTION, 3)
-    h = hasse_prefix_tree(ua, g)
+    h = hasse_prefix_tree(ua, g, interior_labels(g))
     assert h.vertices == [EMPTY]
 
 

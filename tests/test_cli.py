@@ -271,6 +271,28 @@ def test_check_tree_pass(capsys, bicyclic_file):
     assert data["condensation_matches_hasse"]
 
 
+def test_condense_claims_no_entrance_check(capsys, grid_file):
+    # condense does not run the unique-entrance check, so its artifact has
+    # no entrance_violations; check-tree runs it and finds the grid's
+    # square a b = b a entered twice
+    code, data = run_json(capsys, "condense", "--presentation", grid_file,
+                          "--radius", "3")
+    assert code == 0
+    assert "entrance_violations" not in data
+    assert data["is_tree"] == "refuted"
+    code, data = run_json(capsys, "check-tree", "--presentation", grid_file,
+                          "--radius", "3")
+    assert code == 1
+    assert data == {
+        "entrance_violations": [{"arcs": [[1, 4, "b"], [2, 4, "a"]],
+                                 "count": 2, "kind": "entrance_count",
+                                 "scc": 4}],
+        "is_tree": {"edges": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 4], [2, 5]],
+                    "verdict": "refuted"},
+        "unknowns": [],
+    }
+
+
 def test_check_tree_grid_fails(capsys, grid_file):
     code, data = run_json(capsys, "check-tree", "--presentation", grid_file,
                           "--radius", "4")
@@ -319,6 +341,12 @@ def test_spec_kind_mismatch(capsys, tmp_path, command, kind, spec):
     ("amalgam", {k: v for k, v in AMALGAM_SPEC.items() if k != "m2"}),
     ("amalgam", dict(AMALGAM_SPEC, f1={})),            # w has no image
     ("amalgam", dict(AMALGAM_SPEC, f1={"w": "q"})),    # q is not in m1
+    # letters that no word could be written with
+    ("amalgam", dict(AMALGAM_SPEC, m1={"letters": ["x y"]})),
+    ("amalgam", dict(AMALGAM_SPEC, w={"letters": [""]})),
+    ("otto-pride", dict(OP_SPEC, m={"letters": ["a", "1"]})),
+    ("otto-pride", dict(OP_SPEC, stable_letter="1")),
+    ("otto-pride", dict(OP_SPEC, stable_letter="t u")),
 ])
 def test_malformed_spec_is_input_error(capsys, tmp_path, command, kind,
                                        spec):
@@ -625,6 +653,16 @@ def test_check_tree_does_not_hide_analysis_errors(capsys, bicyclic_file,
     assert main(["check-tree", "--presentation", bicyclic_file,
                  "--radius", "3"]) == 2
     assert "UnitsNotCompletedError" in capsys.readouterr().err
+
+
+def test_letter_one_is_input_error(capsys, tmp_path):
+    # 1 writes the empty word, so it cannot also be a letter
+    f = tmp_path / "one.txt"
+    f.write_text("letters: 1 a\nrel: a 1 = 1\n")
+    assert main(["parse", "--presentation", str(f)]) == 2
+    diag = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert diag["error"] == "WordError"
+    assert "'1'" in diag["detail"]
 
 
 def test_undecodable_file_is_input_error(capsys, tmp_path):

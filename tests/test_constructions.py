@@ -641,7 +641,7 @@ def test_op_tree(octx):
 
 
 def test_amalgam_forest_components(actx):
-    g = bass_serre_forest_bi(actx, "amalgam", 4)
+    g = bass_serre_forest_bi(actx, 4)
     assert g.forest_by_search() and g.forest_by_rank()
     prods = forest_component_products(actx, g)
     # one product per component, pairwise distinct: the multiplication map
@@ -652,17 +652,12 @@ def test_amalgam_forest_components(actx):
 
 
 def test_op_forest_components(octx):
-    g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
+    g = bass_serre_forest_bi(octx, 4, margin=2)
     assert g.forest_by_search() and g.forest_by_rank()
     prods = forest_component_products(octx, g)
     assert all(len(v) == 1 for v in prods.values())
     seen = [next(iter(v)) for v in prods.values()]
     assert len(set(seen)) == len(seen)
-
-
-def test_forest_unknown_kind(actx):
-    with pytest.raises(ConstructionError):
-        bass_serre_forest_bi(actx, "hnn", 3)
 
 
 def test_graph_json_and_dot(actx):
@@ -720,7 +715,7 @@ def test_derivation_check_counts_repeated_samples(kind, broken):
     ctx, _ = ball_context("amalgam" if kind == "amalgam" else "otto_pride",
                           2, 3 if kind == "amalgam" else 1)
     if kind == "forest":
-        g = bass_serre_forest_bi(ctx, "otto_pride", 2, margin=1)
+        g = bass_serre_forest_bi(ctx, 2, margin=1)
         d = op_forest_derivation(ctx, g.edge_ball)
     else:
         build = (bass_serre_ball_amalgam if kind == "amalgam"
@@ -785,7 +780,7 @@ def test_op_beta(octx):
 
 
 def test_op_forest_derivation(octx):
-    g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
+    g = bass_serre_forest_bi(octx, 4, margin=2)
     d = op_forest_derivation(octx, g.edge_ball)
     rep = check_derivation_wellformed(
         d, list(octx.presentation.relations), samples_from(octx, 3, 200, 9))
@@ -799,7 +794,7 @@ def test_op_forest_resolver_matches_lookup(octx):
     # the resolver finds a pair's class by id arithmetic; the element
     # index it no longer builds must agree, also on words that leave the
     # ball
-    g = bass_serre_forest_bi(octx, "otto_pride", 3, margin=1)
+    g = bass_serre_forest_bi(octx, 3, margin=1)
     d = op_forest_derivation(octx, g.edge_ball)
     find = oracle_lookup(g.edge_ball)
     words = [w for w, _ in samples_from(octx, 4, 120, 3)]
@@ -813,7 +808,7 @@ def test_op_forest_resolver_matches_lookup(octx):
 
 
 def test_op_forest_beta(octx):
-    g = bass_serre_forest_bi(octx, "otto_pride", 4, margin=2)
+    g = bass_serre_forest_bi(octx, 4, margin=2)
     d = op_forest_derivation(octx, g.edge_ball)
     rep = check_beta_section(g, d)
     assert rep["passed"] and rep["checked"] >= 5 and not rep["skipped"]
@@ -960,7 +955,7 @@ def oracle_op_forest(ctx, radius, budget, margin):
 
 def build_graph(kind, forest, ctx, radius, budget, margin):
     if forest:
-        return bass_serre_forest_bi(ctx, kind, radius, budget, margin)
+        return bass_serre_forest_bi(ctx, radius, budget, margin)
     if kind == "amalgam":
         return bass_serre_ball_amalgam(ctx, radius, budget, margin)
     return bass_serre_ball_op(ctx, radius, budget, margin)

@@ -21,7 +21,6 @@ from monoidkit.special import (
     NotIrreducibleError,
     NotOneRelatorError,
     UnitsNotCompletedError,
-    _InverseIndex,
     _unit_ball,
     adjan_factorization,
     certify_invertible,
@@ -185,7 +184,7 @@ def test_adjan_pieces_agree_with_unit_balls(case):
         for m in range(2, 9):
             ball, closed = _unit_ball(p, 2 * len(piece) + m * len(r),
                                       Budget(5000))
-            if not closed or _InverseIndex(ball, len(piece)).certify(piece):
+            if not closed or _certify_by_sort_and_scan(piece, ball):
                 break
         else:
             pytest.fail(f"{piece} of {relator} never certifies")
@@ -634,9 +633,9 @@ def test_loop_generators_free_monoid():
 
 
 def _certify_by_sort_and_scan(u, ball_parents):
-    """The former per-candidate search, kept as the oracle for _InverseIndex:
-    re-sort the whole ball and scan it for the first word with prefix u and
-    the first with suffix u."""
+    """The former per-candidate search, kept as the oracle for
+    certify_invertible: sort the whole ball and scan it for the first word
+    with prefix u and the first with suffix u."""
     right = left = None
     for w in sorted(ball_parents, key=lambda x: (len(x), x)):
         if right is None and w[:len(u)] == u:
@@ -659,24 +658,28 @@ def _special(letters, relators):
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=6),
                 min_size=1, max_size=2),
        st.integers(min_value=1, max_value=5000))
-def test_inverse_index_matches_sort_and_scan(relators, budget):
-    # small budgets truncate the ball; the index must agree there too
+def test_certify_invertible_matches_sort_and_scan(relators, budget):
+    # small budgets truncate the ball; the one sorted scan must agree there
+    # too, on the verdict and on the whole certificate
     p = _special("abc", relators)
     min_len = min(map(len, relators))
-    cap = 2 * min_len + 2 * max(map(len, relators))
-    ball, _ = _unit_ball(p, cap, Budget(budget))
-    index = _InverseIndex(ball, min_len)
-    in_ball = special._invertible_in(ball, min_len)
-    assert all(0 < len(u) <= min_len for u in in_ball)
+    longest = max(map(len, relators))
     for n in range(min_len + 1):
-        # certify_invertible caps its own index at the length of its word
-        own_cap = _InverseIndex(ball, n)
+        # certify_invertible's own ball: the same cap and budget
+        ball, _ = _unit_ball(p, 2 * n + 2 * longest, Budget(budget))
         for u in p.alphabet.words_of_length(n):
             expected = _certify_by_sort_and_scan(u, ball)
-            assert index.certify(u) == expected
-            assert own_cap.certify(u) == expected
-            # compute_delta's two-set test answers without certificates
-            assert (u in in_ball) == (n > 0 and expected is not None)
+            got = certify_invertible(p, u, budget)
+            assert got.value == ("proven" if expected else "unknown")
+            assert got.witness == (expected and [expected])
+    # compute_delta's two-set test answers without certificates, on the
+    # last ball, whose cap is compute_delta's
+    in_ball = special._invertible_in(ball, min_len)
+    assert all(0 < len(u) <= min_len for u in in_ball)
+    for n in range(1, min_len + 1):
+        for u in p.alphabet.words_of_length(n):
+            assert (u in in_ball) == (
+                _certify_by_sort_and_scan(u, ball) is not None)
 
 
 def _invertible_by_sort_and_scan(ball_parents, max_len):

@@ -8,6 +8,8 @@ from monoidkit.words import (
     NotSpecialError,
     EmptyRelatorError,
     UnknownLetterError,
+    WordError,
+    format_word,
     parse_presentation,
     presentation_from_json,
     presentation_to_json,
@@ -41,6 +43,35 @@ def test_parse_single_letter_square():
 def test_parse_unknown_letter():
     with pytest.raises(UnknownLetterError):
         parse_presentation("letters: a\nrel: a b = 1")
+
+
+@pytest.mark.parametrize("letter", ["", "1", "a b", " a", "a\n", "a\xa0b"])
+def test_unwritable_letter_rejected(letter):
+    # format_word would write the one-letter word as the empty word, or as
+    # text that reads back as another word
+    with pytest.raises(WordError):
+        Alphabet(("x", letter))
+
+
+def test_generated_letters_are_writable():
+    # the fresh letters of the units and right-units presentations, the
+    # inverse stable letter of an HNN extension and the renamed letters of
+    # a free product are all letters a word can be written with
+    from monoidkit.constructions import free_product, hnn_presentation
+    from monoidkit.special import compute_delta, right_units_presentation
+
+    ua = compute_delta(validate_special(parse_presentation(BICYCLIC)))
+    a = parse_presentation("letters: a")
+    alphabets = [
+        right_units_presentation(ua)[0].alphabet,
+        hnn_presentation(a, [("a",)], [("a",)], {("a",): ("a",)}).alphabet,
+        free_product(a, a).alphabet,
+    ]
+    assert [al.letters for al in alphabets] == [
+        ("b1", "z1"), ("a", "t", "t-"), ("a1", "a2")]
+    for al in alphabets:
+        for letter in al.letters:
+            assert format_word((letter,)).split() == [letter] != ["1"]
 
 
 def test_parse_comments_and_blank_lines():
