@@ -15,6 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .words import (
+    Columns,
     WordError,
     format_word,
     json_checked,
@@ -107,11 +108,14 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
 
 def _json_text(o, newline="\n"):
     """json.dumps(o, sort_keys=True, indent=2) for dicts with str keys,
-    lists, tuples, str, int, bool and None, without the stdlib's slow
-    pure-Python encoder for indented text."""
+    lists, tuples, str, int, bool, None and Columns (as their rows),
+    without the stdlib's slow pure-Python encoder for indented text."""
     scalar = _SCALARS.get(type(o))
     if scalar:
         return scalar(o)
+    if type(o) is Columns:
+        return _records_text(o, newline) or _json_text(
+            [dict(zip(o, row)) for row in zip(*o.values())], newline)
     inner = newline + "  "
     items = []
     if isinstance(o, dict):
@@ -121,9 +125,10 @@ def _json_text(o, newline="\n"):
                 scalar(o[k]) if scalar else _json_text(o[k], inner)))
         brackets = "{}"
     elif isinstance(o, (list, tuple)):
-        # from 8 records on, one row template beats writing row by row
-        if len(o) >= 8 and type(o[0]) is dict:
-            text = _records_text(o, newline)
+        # from 8 dicts of one key set on, writing by columns is faster
+        keys = len(o) >= 8 and type(o[0]) is dict and o[0].keys()
+        if keys and all(type(r) is dict and r.keys() == keys for r in o):
+            text = _records_text({k: [r[k] for r in o] for k in keys}, newline)
             if text:
                 return text
         for v in o:
@@ -138,30 +143,28 @@ def _json_text(o, newline="\n"):
             + brackets[1])
 
 
-def _records_text(rows, newline):
-    """_json_text of a list of dicts (exact type) with one key set and only
-    scalar values, written column by column into one row template; None
-    for any other list, which then takes the general path.  A key that is
-    no str raises TypeError, as on the general path."""
-    keys = rows[0].keys()
-    if not (keys and set(map(type, rows[0].values())) <= _SCALARS.keys()
-            and all(type(r) is dict and r.keys() == keys for r in rows)):
-        return None
-    keys = sorted(keys)
-    columns = []
-    for k in keys:
-        column = [r[k] for r in rows]
+def _records_text(columns, newline):
+    """_json_text of the records given as columns (key -> values): one join
+    of their pieces, per row each key and then its value; None when a value
+    is no scalar.  A key that is no str raises TypeError, as elsewhere."""
+    keys = sorted(columns)
+    rows, step = len(columns[keys[0]]), 2 * len(keys)
+    if not rows:
+        return "[]"
+    inner, field = newline + "  ", newline + "    "
+    pieces = [None] * (rows * step)
+    for i, column in enumerate(map(columns.__getitem__, keys)):
         kinds = set(map(type, column))
         if not kinds <= _SCALARS.keys():
             return None
-        columns.append(map(_SCALARS[kinds.pop()], column) if len(kinds) == 1
-                       else [_SCALARS[type(v)](v) for v in column])
-    inner, field = newline + "  ", newline + "    "
-    row = ("{" + field + ("," + field).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-        + inner + "}")
-    return ("[" + inner + ("," + inner).join(map(row.__mod__, zip(*columns)))
-            + newline + "]")
+        key = field + encode_basestring_ascii(keys[i]) + ": "
+        pieces[2 * i::step] = [
+            ("," if i else inner + "}," + inner + "{") + key] * rows
+        pieces[2 * i + 1::step] = (
+            map(_SCALARS[kinds.pop()], column) if len(kinds) == 1
+            else [_SCALARS[type(v)](v) for v in column])
+    pieces[0] = "{" + field + encode_basestring_ascii(keys[0]) + ": "
+    return "[" + inner + "".join(pieces) + inner + "}" + newline + "]"
 
 
 def _emit_json(args, payload):
@@ -493,11 +496,16 @@ def cmd_verify_derivations(args):
     rng = random.Random(args.seed)
     samples = [(rng.choice(ball), rng.choice(ball))
                for _ in range(args.samples)]
+    truncated = any(qb.truncated for qb in (g.edge_ball,
+                                             *g.vertex_balls.values()))
     deriv = check_derivation_wellformed(
-        d, list(ctx.presentation.relations), samples)
+        d, list(ctx.presentation.relations), samples, truncated)
     beta = check_beta_section(g, d)
     _emit_json(args, {"derivation": deriv, "beta": beta,
                       "seed": args.seed, "samples": args.samples})
+    if truncated:
+        _diag("budget_exhausted", detail="a ball of the graph is truncated")
+        return EXIT_BUDGET
     if not (deriv["passed"] and beta["passed"]):
         return EXIT_VERIFY
     return EXIT_OK

@@ -217,6 +217,10 @@ def json_field(data, key, kind=object):
     return json_checked(data[key], kind, key)
 
 
+class Columns(dict):
+    """Artifact rows as columns: key -> its scalar value in each row."""
+
+
 def presentation_from_json(data: dict, name=None) -> Presentation:
     """Read ``{"letters": [...], "relations": [{"lhs": ..., "rhs": ...}]}``.
 

@@ -12,6 +12,7 @@ from monoidkit import cli, constructions, special
 from monoidkit.cayley import cayley_complex_chain
 from monoidkit.cli import main
 from monoidkit.homology import SparseIntMatrix
+from monoidkit.words import Columns
 
 BICYCLIC = "letters: a b\nrel: a b = 1\n"
 GRID = "letters: a b\nrel: b a = a b\n"
@@ -417,6 +418,26 @@ def test_bass_serre_matrix(capsys, op_spec_file):
     assert len(header) == 3
 
 
+@pytest.mark.parametrize("argv, vertices, edges", [
+    (["--kind", "otto-pride", "--radius", "0"], 1, 0),
+    (["--kind", "otto-pride", "--radius", "0", "--forest"], 1, 0),
+    (["--kind", "amalgam", "--radius", "0"], 2, 1),
+    (["--kind", "amalgam", "--radius", "3", "--forest"], 225, 160),
+])
+def test_bass_serre_artifact_is_json_dumps(capsys, tmp_path, argv, vertices,
+                                           edges):
+    # the vertex and edge tables are written from their columns, and a
+    # table with no row is an empty list
+    spec = AMALGAM_SPEC if "amalgam" in argv else OP_SPEC
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps(spec))
+    code, out = run(capsys, "bass-serre", "--spec", str(f), *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    assert (len(data["vertices"]), len(data["edges"])) == (vertices, edges)
+
+
 def test_chain(capsys, bicyclic_file):
     code, data = run_json(capsys, "chain", "--presentation", bicyclic_file,
                           "--radius", "3")
@@ -484,6 +505,28 @@ def test_verify_derivations_reports_failed_beta_section(
     assert failures and not data["beta"]["passed"]
     for f in failures:
         assert f["difference"] == {str(f["edge_class"]): 2}
+
+
+@pytest.mark.parametrize("budget, code", [(0, 3), (1, 3), (2, 3),
+                                          (10**6, 0)])
+@pytest.mark.parametrize("forest", [[], ["--forest"]])
+def test_verify_derivations_truncated_ball_is_no_failure(
+        capsys, op_spec_file, budget, code, forest):
+    # at radius 3 the budgets 0, 1 and 2 truncate the balls of <a,t | a a t
+    # = t a>, which leaves classes unmerged: unequal values there prove
+    # nothing, so they are skipped and the run exits 3, not 1
+    assert main(["verify-derivations", "--kind", "otto-pride", "--spec",
+                 op_spec_file, "--radius", "3", "--budget", str(budget),
+                 *forest]) == code
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert data["derivation"]["failures"] == data["beta"]["failures"] == []
+    assert ("budget_exhausted" in err) == (code == 3)
+    if code == 3 and not forest:
+        assert data["derivation"]["skipped"]
+    if budget == 0 and not forest:
+        assert {"kind": "relation", "lhs": "a a t", "rhs": "t a"} in \
+            data["derivation"]["skipped"]
 
 
 @pytest.mark.parametrize("kind, spec", [("amalgam", AMALGAM_SPEC),
@@ -754,9 +797,12 @@ COLUMNS = [st.text(), st.integers(-10**30, 10**30), st.booleans(), st.none(),
 
 @st.composite
 def record_lists(draw):
-    """Lists of flat records over one shared key set, each row built in
-    its own key order; some have one row that breaks the pattern.  Lists
-    of 8 or more records take the record path."""
+    """Pairs of an artifact value and the value json.dumps writes for it.
+    The artifact holds flat records over one shared key set, each row
+    built in its own key order, as a list of 2 to 14 records, some with
+    one row that breaks the pattern (lists of 8 or more records take the
+    record path), or as a column table of 0 to 14 rows, some with one
+    value that is no scalar."""
     keys = draw(st.lists(
         st.text() | st.sampled_from(["%", "%s", "a%%b", '"', 'q"%', "é",
                                      "\u2603", "\\"]),
@@ -766,6 +812,15 @@ def record_lists(draw):
     for _ in range(draw(st.integers(2, 14))):
         values = {k: draw(cells[k]) for k in keys}
         rows.append({k: values[k] for k in draw(st.permutations(keys))})
+    if draw(st.booleans()):
+        rows = rows[:draw(st.integers(0, len(rows)))]
+        table = Columns({k: [r[k] for r in rows] for k in keys})
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            table[keys[0]][i] = rows[i][keys[0]] = [1, {"n": None}]
+        wrap = draw(st.sampled_from([lambda t: t, lambda t: [t, t],
+                                     lambda t: {"rows": t}]))
+        return wrap(table), wrap(rows)
     i = draw(st.integers(0, len(rows) - 1))
     odd = draw(st.sampled_from(
         [None, "extra", "missing", "nested", "subclass", "scalar"]))
@@ -780,16 +835,19 @@ def record_lists(draw):
     elif odd == "scalar":
         rows[i] = draw(st.integers() | st.text() | st.none())
     wrap = draw(st.sampled_from([list, tuple, lambda r: {"rows": [r]}]))
-    return wrap(rows)
+    return wrap(rows), wrap(rows)
 
 
 @settings(max_examples=300, deadline=None)
 @given(record_lists())
-@example([{"%s": i, 'q"%': "é", "a": i % 2 == 0} for i in range(8)])
-def test_json_text_writes_records_as_json_dumps(value):
-    # the record path writes what json.dumps writes, and a list that
-    # breaks the pattern falls back to the general path
-    assert cli._json_text(value) == json.dumps(value, sort_keys=True,
+@example(([{"%s": i, 'q"%': "é", "a": i % 2 == 0} for i in range(8)],) * 2)
+@example((Columns(a=[]), []))
+def test_json_text_writes_records_as_json_dumps(case):
+    # the record path and column tables write what json.dumps writes for
+    # the rows, and a list or table that breaks the pattern falls back to
+    # the general path
+    value, rows = case
+    assert cli._json_text(value) == json.dumps(rows, sort_keys=True,
                                                indent=2)
 
 

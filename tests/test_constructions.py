@@ -13,8 +13,6 @@ from monoidkit.cayley import cayley_ball, default_margin
 from monoidkit.constructions import (
     AmalgamSpec,
     BassSerreGraph,
-    BSEdge,
-    BSVertex,
     ConstructionError,
     FactorizationFailure,
     IncompleteSystemError,
@@ -363,7 +361,7 @@ def test_pair_quotient_twist(octx):
     pq = pair_quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images,
                             side="LxL/A", twist=phi)
     assert pq.lookup((w("aa"), EMPTY)) == pq.lookup((EMPTY, w("a")))
-    assert pq.to_json()["classes"][0]["representative"] == "1,1"
+    assert pq.to_json()["classes"]["representative"][0] == "1,1"
     untwisted = pair_quotient_ball(octx.solver, ball_of(octx, 4),
                                    octx.a_images, side="LxL/A")
     assert untwisted.lookup((w("aa"), EMPTY)) == untwisted.lookup(
@@ -598,11 +596,11 @@ def test_quotient_core_rejects_negative_margin(octx):
 
 def components(g):
     """Interior components as a map vertex id -> component id."""
-    uf = UnionFind(len(g.vertices))
-    uf.union_all((g.edges[ei].tail, g.edges[ei].head)
-                 for ei in g.interior_edge_ids())
+    interior = g.vertex_interior()
+    uf = UnionFind(len(interior))
+    uf.union_all((g.tail[e], g.head[e]) for e in g.interior_edge_ids())
     # interior edges join interior vertices only
-    ordered = [c for c in uf.classes()[1] if g.vertices[c[0]].interior]
+    ordered = [c for c in uf.classes()[1] if interior[c[0]]]
     return {v: ci for ci, members in enumerate(ordered) for v in members}
 
 
@@ -619,8 +617,8 @@ def forest_component_products(ctx, g):
     product per component, distinct across components."""
     out = {}
     for v, ci in components(g).items():
-        vertex = g.vertices[v]
-        x, y = g.vertex_balls[vertex.side].rep(vertex.class_id)
+        side, class_id = g.vertex(v)
+        x, y = g.vertex_balls[side].rep(class_id)
         out.setdefault(ci, set()).add(ctx.solver(x + y))
     return out
 
@@ -660,11 +658,19 @@ def test_op_forest_components(octx):
     assert len(set(seen)) == len(seen)
 
 
+def rows(table):
+    """The rows of a column table, as dicts."""
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
 def test_graph_json_and_dot(actx):
     g = bass_serre_ball_amalgam(actx, 3)
     j = g.to_json()
     assert j["kind"] == "amalgam"
-    assert len(j["vertices"]) == len(g.vertices)
+    assert [v["id"] for v in rows(j["vertices"])] == list(
+        range(len(g.vertex_interior())))
+    assert [(e["tail"], e["head"]) for e in rows(j["edges"])] == list(
+        zip(g.tail, g.head))
     assert g.to_dot().startswith("graph")
 
 
@@ -822,6 +828,23 @@ def test_op_forest_beta(octx):
 # edge ends, interior flags and diagnostics by its own rule.
 
 
+def vertex_ids(*sides):
+    """Global vertex ids of the classes of (side, ball) in order, keyed by
+    (side, class id)."""
+    classes = [(side, ci) for side, qb in sides
+               for ci in range(len(qb.classes))]
+    return {key: v for v, key in enumerate(classes)}
+
+
+def oracle_graph(kind, radius, vertex_balls, edge_side, edge_ball, edges,
+                 diagnostics):
+    """The graph with the given edges, as rows (class id, tail, head,
+    interior)."""
+    columns = [list(c) for c in zip(*edges)] or [[], [], [], []]
+    return BassSerreGraph(kind, radius, vertex_balls, edge_side, edge_ball,
+                          *columns, diagnostics)
+
+
 def oracle_amalgam_tree(ctx, radius, budget, margin):
     def ball(gens, side):
         return oracle_quotient_ball(ctx.solver, ctx.presentation.alphabet,
@@ -830,12 +853,7 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
     qb1 = ball([(a,) for a in ctx.m1_letters], "L/M1")
     qb2 = ball([(a,) for a in ctx.m2_letters], "L/M2")
     qbw = ball(ctx.w_images, "L/W")
-    vertices = []
-    gid = {}
-    for side, qb in (("M1", qb1), ("M2", qb2)):
-        for ci in range(len(qb.classes)):
-            gid[side, ci] = len(vertices)
-            vertices.append(BSVertex(side, ci, qb.rep(ci), not qb.partial[ci]))
+    gid = vertex_ids(("M1", qb1), ("M2", qb2))
     edges = []
     diagnostics = []
     find1, find2 = oracle_lookup(qb1), oracle_lookup(qb2)
@@ -847,11 +865,10 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
         if not ok:
             diagnostics.append({
                 "kind": "edge_incidence_unresolved", "edge_class": ci})
-        edges.append(BSEdge(
-            ci, gid["M1", t1], gid["M2", t2], "W", x,
-            not qbw.partial[ci] and ok))
-    return BassSerreGraph("amalgam", radius, vertices, edges, diagnostics,
-                          {"M1": qb1, "M2": qb2}, qbw)
+        edges.append((ci, gid["M1", t1], gid["M2", t2],
+                      not qbw.partial[ci] and ok))
+    return oracle_graph("amalgam", radius, {"M1": qb1, "M2": qb2}, "W", qbw,
+                        edges, diagnostics)
 
 
 def oracle_op_tree(ctx, radius, budget, margin):
@@ -862,16 +879,11 @@ def oracle_op_tree(ctx, radius, budget, margin):
     t = ctx.spec.stable_letter
     qbm = ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")
     qba = ball(ctx.a_images, "L/A")
-    vertices = [
-        BSVertex("M", ci, qbm.rep(ci), not qbm.partial[ci])
-        for ci in range(len(qbm.classes))
-    ]
     edges = []
     diagnostics = []
     find = oracle_lookup(qbm)
     for ci in range(len(qba.classes)):
         members = [qba.elements[i] for i in qba.classes[ci]]
-        x = members[0]
         tails = {find(y) for y in members}
         heads = {find(ctx.solver(y + (t,))) for y in members}
         interior = (not qba.partial[ci]
@@ -883,10 +895,9 @@ def oracle_op_tree(ctx, radius, budget, margin):
         head = next(iter(heads - {None}), None)
         if head is None:
             continue
-        edges.append(BSEdge(
-            ci, next(iter(tails)), head, "A", x, interior))
-    return BassSerreGraph("otto_pride", radius, vertices, edges, diagnostics,
-                          {"M": qbm}, qba)
+        edges.append((ci, next(iter(tails)), head, interior))
+    return oracle_graph("otto_pride", radius, {"M": qbm}, "A", qba, edges,
+                        diagnostics)
 
 
 def oracle_amalgam_forest(ctx, radius, budget, margin):
@@ -898,12 +909,7 @@ def oracle_amalgam_forest(ctx, radius, budget, margin):
     pq1 = ball([(a,) for a in ctx.m1_letters], "LxL/M1")
     pq2 = ball([(a,) for a in ctx.m2_letters], "LxL/M2")
     pqe = ball(ctx.w_images, "LxL/W")
-    vertices = []
-    gid = {}
-    for side, pq in (("M1", pq1), ("M2", pq2)):
-        for ci in range(len(pq.classes)):
-            gid[side, ci] = len(vertices)
-            vertices.append(BSVertex(side, ci, pq.rep(ci), not pq.partial[ci]))
+    gid = vertex_ids(("M1", pq1), ("M2", pq2))
     edges = []
     find1, find2 = oracle_lookup(pq1), oracle_lookup(pq2)
     for ci in range(len(pqe.classes)):
@@ -911,11 +917,10 @@ def oracle_amalgam_forest(ctx, radius, budget, margin):
         p = members[0]
         t1, t2 = find1(p), find2(p)
         ok = all(find1(q) == t1 and find2(q) == t2 for q in members)
-        edges.append(BSEdge(
-            ci, gid["M1", t1], gid["M2", t2], "W", p,
-            not pqe.partial[ci] and ok))
-    return BassSerreGraph("amalgam_forest", radius, vertices, edges, [],
-                          {"M1": pq1, "M2": pq2}, pqe)
+        edges.append((ci, gid["M1", t1], gid["M2", t2],
+                      not pqe.partial[ci] and ok))
+    return oracle_graph("amalgam_forest", radius, {"M1": pq1, "M2": pq2},
+                        "W", pqe, edges, [])
 
 
 def oracle_op_forest(ctx, radius, budget, margin):
@@ -927,10 +932,6 @@ def oracle_op_forest(ctx, radius, budget, margin):
     pqa = oracle_pair_quotient_ball(
         ctx.solver, alphabet, ctx.a_images, radius, budget, "LxL/A", margin,
         twist={tuple(g): tuple(v) for g, v in ctx.spec.phi.items()})
-    vertices = [
-        BSVertex("M", ci, pqm.rep(ci), not pqm.partial[ci])
-        for ci in range(len(pqm.classes))
-    ]
     edges = []
     find = oracle_lookup(pqm)
     for ci in range(len(pqa.classes)):
@@ -946,11 +947,9 @@ def oracle_op_forest(ctx, radius, budget, margin):
             continue
         interior = (not pqa.partial[ci]
                     and len(tails) == 1 and len(heads) == 1)
-        x, y = members[0]
-        edges.append(BSEdge(
-            ci, min(tails), min(heads), "A", (x, y), interior))
-    return BassSerreGraph("otto_pride_forest", radius, vertices, edges, [],
-                          {"M": pqm}, pqa)
+        edges.append((ci, min(tails), min(heads), interior))
+    return oracle_graph("otto_pride_forest", radius, {"M": pqm}, "A", pqa,
+                        edges, [])
 
 
 def build_graph(kind, forest, ctx, radius, budget, margin):
@@ -973,8 +972,13 @@ DERIVATIONS = {"amalgam": amalgam_derivation, "otto_pride": op_derivation,
 
 
 def graph_view(g):
-    return ([(v.side, v.class_id, v.label, v.interior) for v in g.vertices],
-            [(e.class_id, e.label, e.interior) for e in g.edges],
+    """(side, class id, label, interior) per vertex, (class id, label,
+    interior) per edge, and both forest checks."""
+    doc = g.to_json()
+    return ([(*g.vertex(v["id"]), v["label"], v["interior"])
+             for v in rows(doc["vertices"])],
+            [(ci, e["label"], e["interior"])
+             for ci, e in zip(g.edge_class, rows(doc["edges"]))],
             g.forest_by_search(), g.forest_by_rank())
 
 
@@ -1014,23 +1018,24 @@ def test_bass_serre_builder_matches_oracles(case):
     assert ball_fields(got.edge_ball) == ball_fields(want.edge_ball)
     assert {side: ball_fields(qb) for side, qb in got.vertex_balls.items()} \
         == {side: ball_fields(qb) for side, qb in want.vertex_balls.items()}
-    assert graph_view(got)[0] == graph_view(want)[0]
-    assert [(e.class_id, e.label) for e in got.edges] == [
-        (e.class_id, e.label) for e in want.edges]
+    got_view, want_view = graph_view(got), graph_view(want)
+    assert got_view[0] == want_view[0]
+    assert [e[:2] for e in got_view[1]] == [e[:2] for e in want_view[1]]
     # the Otto-Pride forest used to drop members with an end outside the
     # ball; the one rule makes those edges, and only those, not interior
-    for e, f in zip(got.edges, want.edges):
-        if e.interior != f.interior:
-            assert got.kind == "otto_pride_forest" and f.interior
-            assert member_leaves_ball(ctx, want, f.class_id)
-    assert graph_view(got)[2:] == graph_view(want)[2:]
+    for ci, got_interior, want_interior in zip(
+            want.edge_class, got.edge_interior, want.edge_interior):
+        if got_interior != want_interior:
+            assert got.kind == "otto_pride_forest" and want_interior
+            assert member_leaves_ball(ctx, want, ci)
+    assert got_view[2:] == want_view[2:]
     # the builder reports every class an oracle reported, and an edge
     # whose members agree on their in-ball ends keeps them
     assert all(d in got.diagnostics for d in want.diagnostics)
     unresolved = {d["edge_class"] for d in got.diagnostics}
-    for e, f in zip(got.edges, want.edges):
-        if e.class_id not in unresolved:
-            assert (e.tail, e.head) == (f.tail, f.head)
+    for e, ci in enumerate(got.edge_class):
+        if ci not in unresolved:
+            assert (got.tail[e], got.head[e]) == (want.tail[e], want.head[e])
     if got.kind in DERIVATIONS:
         derivation = DERIVATIONS[got.kind]
         d_got = derivation(ctx, got.edge_ball)
@@ -1040,8 +1045,7 @@ def test_bass_serre_builder_matches_oracles(case):
         assert (check_derivation_wellformed(d_got, relations, samples)
                 == check_derivation_wellformed(d_want, relations, samples))
         # the beta check runs over the interior edges the two graphs share
-        want.edges = [dataclasses.replace(f, interior=e.interior)
-                      for e, f in zip(got.edges, want.edges)]
+        want.edge_interior = list(got.edge_interior)
         assert check_beta_section(got, d_got) == check_beta_section(
             want, d_want)
 
@@ -1049,28 +1053,33 @@ def test_bass_serre_builder_matches_oracles(case):
 @pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
 @pytest.mark.parametrize("forest", [False, True])
 def test_bass_serre_labels_are_formatted_on_read(monkeypatch, kind, forest):
-    # building a graph formats no label; its artifacts show each class by
-    # its representative, [u]side for a word and [x,y]side for a pair
+    # building a graph formats no word; its artifacts show each class by
+    # its representative, [u]side for a word and [x,y]side for a pair,
+    # formatting each word of the Cayley ball once per ball they read
     formatted = []
-    fmt = constructions._format
-    monkeypatch.setattr(
-        constructions, "_format",
-        lambda x, *names: formatted.append(x) or fmt(x, *names))
+    monkeypatch.setattr(constructions, "format_word",
+                        lambda x: formatted.append(x) or format_word(x))
     ctx, _ = ball_context(kind, 2, 3)
     g = build_graph(kind, forest, ctx, 3, 10**6, 1)
-    assert g.vertices and g.edges and not formatted
+    assert g.vertex_interior() and g.edge_class and not formatted
 
-    def label(item):
-        words = item.rep if forest else (item.rep,)
-        return f"[{','.join(map(format_word, words))}]{item.side}"
+    def label(qb, class_id, side):
+        words = qb.rep(class_id) if forest else (qb.rep(class_id),)
+        return f"[{','.join(map(format_word, words))}]{side}"
 
     doc = g.to_json()
-    assert [v["label"] for v in doc["vertices"]] == list(map(label, g.vertices))
-    assert [e["label"] for e in doc["edges"]] == list(map(label, g.edges))
-    assert {e.side for e in g.edges} == {"W" if kind == "amalgam" else "A"}
+    words = len(g.edge_ball.ball.vertices)
+    assert len(formatted) == (len(g.vertex_balls) + 1) * words
+    vertex_labels = [label(qb, ci, side)
+                     for side, qb in g.vertex_balls.items()
+                     for ci in range(len(qb.classes))]
+    assert doc["vertices"]["label"] == vertex_labels
+    assert doc["edges"]["label"] == [label(g.edge_ball, ci, g.edge_side)
+                                     for ci in g.edge_class]
+    assert g.edge_side == ("W" if kind == "amalgam" else "A")
     dot = g.to_dot()
-    assert all(f'v{i} [label="{label(v)}"' in dot
-               for i, v in enumerate(g.vertices))
+    assert all(f'v{i} [label="{v}"' in dot
+               for i, v in enumerate(vertex_labels))
 
 
 @pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
@@ -1095,7 +1104,7 @@ def test_op_tree_reports_edges_it_leaves_out():
     # edge is left out and still reported
     ctx, _ = ball_context("otto_pride", 2, 3)
     g = bass_serre_ball_op(ctx, 6)
-    assert not {38, 51} & {e.class_id for e in g.edges}
+    assert not {38, 51} & set(g.edge_class)
     assert {38, 51} <= {d["edge_class"] for d in g.diagnostics}
 
 
@@ -1110,4 +1119,4 @@ def test_default_margin():
     assert ctx.presentation.relations == ()
     assert graph_view(bass_serre_ball_amalgam(ctx, 3)) == graph_view(
         bass_serre_ball_amalgam(ctx, 3, margin=0))
-    assert all(v.interior for v in bass_serre_ball_amalgam(ctx, 3).vertices)
+    assert all(bass_serre_ball_amalgam(ctx, 3).vertex_interior())
