@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .words import EMPTY, Alphabet, format_word
 from .rewriting import Verdict
 from .homology import SparseIntMatrix
+from .special import transversal_factor
 
 
 class CayleyError(Exception):
@@ -61,13 +62,6 @@ class LabeledDigraph:
             lines.append(f'  v{s} -> v{d} [label={dot_quoted(a)}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def default_margin(p) -> int:
-    """The longest side of a relation of p: the depth of the detour a
-    relation can take outside a ball.  0 without relations, since then
-    there is no relation to leave the ball through."""
-    return max((max(len(l), len(r)) for l, r in p.relations), default=0)
 
 
 def cayley_ball(solver, alphabet: Alphabet, radius: int,
@@ -248,8 +242,6 @@ def check_unique_entrance(g: LabeledDigraph, rep: CondensationReport,
             })
             continue
         if ua is not None:
-            from .special import transversal_factor
-
             label = g.vertices[entering[0][1]]
             if transversal_factor(ua, label).u_part != EMPTY:
                 violations.append({
@@ -263,8 +255,6 @@ def hasse_prefix_tree(ua, ball: LabeledDigraph, labels) -> LabeledDigraph:
     """Hasse diagram of the reverse prefix order on the transversal parts
     of the given labels of the ball.  The parent of a transversal word is
     its longest proper prefix in the set."""
-    from .special import transversal_factor
-
     parts = {transversal_factor(ua, l).w_part for l in labels}
     alphabet = ball.alphabet
     ordered = sorted(parts, key=alphabet.shortlex_key)

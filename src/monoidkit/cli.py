@@ -20,6 +20,7 @@ from .words import (
     format_word,
     json_checked,
     json_field,
+    longest_side,
     parse_presentation,
     parse_word_tokens,
     presentation_from_json,
@@ -34,7 +35,6 @@ from .rewriting import (
     equal_words,
     knuth_bendix,
     normalize,
-    normalize_trace,
     orient_system,
 )
 from .special import (
@@ -50,10 +50,9 @@ from .cayley import (
     check_rooted_tree,
     check_unique_entrance,
     condensation_matches_hasse,
-    default_margin,
     scc_condense,
 )
-from .homology import HomologyError, _exactness, chain_homology
+from .homology import HomologyError, chain_homology, exactness_check
 from .constructions import (
     AmalgamSpec,
     ConstructionError,
@@ -173,20 +172,18 @@ def _emit_json(args, payload):
 
 def _load_presentation(path, order=None):
     with open(path) as f:
-        return parse_presentation(f.read(), name=path, order=order)
+        return parse_presentation(f.read(), order=order)
 
 
 def _word(s):
     return parse_word_tokens(json_checked(s, str, "a word").split())
 
 
-def _unknowns(*verdicts):
-    out = []
-    for where, v in verdicts:
-        if v is not None and v.value == "unknown":
-            out.append({"where": where, "verdict": "unknown",
-                        "budget_spent": v.budget_spent})
-    return out
+def _unknowns(where, verdict):
+    if verdict.value != "unknown":
+        return []
+    return [{"where": where, "verdict": "unknown",
+             "budget_spent": verdict.budget_spent}]
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +285,9 @@ def cmd_rewrite(args):
     system = orient_system(_load_presentation(args.system, args.order))
     word = _word(args.word)
     system.alphabet.check_word(word)
+    trace = [word]
     try:
-        trace = normalize_trace(system, word, Budget(args.budget))
+        normalize(system, word, Budget(args.budget), trace)
     except BudgetExhausted as e:
         _emit_json(args, {"input": format_word(word),
                           "partial": format_word(e.partial)})
@@ -312,7 +310,7 @@ def cmd_equal(args):
     ctx = result.system if result.completed else p
     verdict = equal_words(ctx, u, v, args.budget)
     payload = verdict.to_json()
-    payload["unknowns"] = _unknowns(("equal", verdict))
+    payload["unknowns"] = _unknowns("equal", verdict)
     _emit_json(args, payload)
     if verdict.proven:
         return EXIT_OK
@@ -353,7 +351,7 @@ def cmd_analyze_special(args):
 def _ball_from_args(args, p, margin=None):
     # each word of the ball is normalized once, so no memo
     _, system = completed_solver(p, args.budget)
-    margin = margin if margin is not None else default_margin(p)
+    margin = margin if margin is not None else longest_side(p)
     return cayley_ball(lambda w: normalize(system, w), p.alphabet,
                        args.radius, margin)
 
@@ -396,7 +394,7 @@ def cmd_check_tree(args):
         "is_tree": {"verdict": verdict.value,
                     "edges": [list(e) for e in verdict.witness or []]},
         "entrance_violations": violations,
-        "unknowns": _unknowns(("check-tree", verdict)),
+        "unknowns": _unknowns("check-tree", verdict),
     }
     if ua is not None:
         payload["condensation_matches_hasse"] = \
@@ -449,6 +447,9 @@ def cmd_bass_serre(args):
         payload["forest_by_search"] = g.forest_by_search()
         payload["forest_by_rank"] = g.forest_by_rank()
         _emit_json(args, payload)
+    if g.truncated:
+        _diag("budget_exhausted", detail="a ball of the graph is truncated")
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -472,7 +473,7 @@ def cmd_homology(args):
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
     homology = chain_homology([export.boundary1, export.boundary2])
-    exact = _exactness(homology, export.boundary1, export.augmentation)
+    exact = exactness_check(homology, export.boundary1, export.augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})
     if exact["total_defect"] != 0:
         return EXIT_VERIFY
@@ -496,14 +497,12 @@ def cmd_verify_derivations(args):
     rng = random.Random(args.seed)
     samples = [(rng.choice(ball), rng.choice(ball))
                for _ in range(args.samples)]
-    truncated = any(qb.truncated for qb in (g.edge_ball,
-                                             *g.vertex_balls.values()))
     deriv = check_derivation_wellformed(
-        d, list(ctx.presentation.relations), samples, truncated)
+        d, list(ctx.presentation.relations), samples, g.truncated)
     beta = check_beta_section(g, d)
     _emit_json(args, {"derivation": deriv, "beta": beta,
                       "seed": args.seed, "samples": args.samples})
-    if truncated:
+    if g.truncated:
         _diag("budget_exhausted", detail="a ball of the graph is truncated")
         return EXIT_BUDGET
     if not (deriv["passed"] and beta["passed"]):

@@ -25,6 +25,7 @@ from .words import (
     Word,
     WordError,
     format_word,
+    longest_side,
 )
 from .rewriting import (
     DEFAULT_BUDGET,
@@ -34,7 +35,7 @@ from .rewriting import (
     normalize,
     orient_system,
 )
-from .cayley import LabeledDigraph, cayley_ball, default_margin, dot_quoted
+from .cayley import LabeledDigraph, cayley_ball, dot_quoted
 from .homology import SparseIntMatrix, rank_exact
 
 
@@ -128,7 +129,6 @@ class OttoPrideSpec:
     phi: dict           # a_gen word -> image word over m
     free_basis: tuple = None   # words C with 1 in C, a free right A-set basis
     stable_letter: str = "t"
-    diagnostics: list = field(default_factory=list)
 
 
 def _phi_images(a_gens, phi) -> tuple:
@@ -200,9 +200,6 @@ class OPNormalForm:
             out = out + (t,) + tuple(c)
         return out + self.trail
 
-    def __str__(self):
-        return format_word(self.to_word())
-
 
 class OPContext:
     """Completed word problem for M plus the basis factorization m = c.a."""
@@ -212,9 +209,8 @@ class OPContext:
             raise ConstructionError("normal forms need a free basis C")
         if EMPTY not in tuple(tuple(c) for c in spec.free_basis):
             raise ConstructionError("the free basis must contain 1")
-        self.spec = spec
         self.t = spec.stable_letter
-        self.nf_m, self.system_m = completed_solver(spec.m, budget_limit)
+        self.nf_m, _ = completed_solver(spec.m, budget_limit)
         self.basis = tuple(tuple(c) for c in spec.free_basis)
         self.a_gens = tuple(tuple(g) for g in spec.a_gens)
         self.phi = dict(zip(self.a_gens,
@@ -374,17 +370,14 @@ class QuotientBall:
         }
 
 
-def _quotient(side, ball, elements, k, joins, budget_limit, margin,
-              pair=False):
+def _quotient(side, ball, elements, k, joins, budget_limit, pair=False):
     """Classes of elements under their generator moves: k per element, in
     order, each one budget step, so the first min(len(elements) * k,
     budget) run; joins(m) gives the id pairs the first m moves join (a
     move that leaves the ball joins none).  When the budget runs out,
-    every class is partial.  A class whose every member sits within margin
-    of the ball boundary had little room to merge, so only classes seen
-    well inside the ball are settled at this radius."""
-    if margin < 0:
-        raise ConstructionError(f"margin must be >= 0, got {margin}")
+    every class is partial.  A class whose every member sits within the
+    Cayley ball's margin of its boundary had little room to merge, so only
+    classes seen within radius - margin are settled at this radius."""
     total = len(elements) * k
     run = min(total, max(budget_limit, 0))
     uf = UnionFind(len(elements))
@@ -392,7 +385,7 @@ def _quotient(side, ball, elements, k, joins, budget_limit, margin,
     class_of, classes = uf.classes()
     partial = [True] * len(classes)
     if run == total:    # the ball lists its elements by depth
-        d, depth, n = ball.radius - margin, ball.depth, len(ball.depth)
+        d, depth, n = ball.radius - ball.margin, ball.depth, len(ball.depth)
         settled = range(bisect_right(depth, d)) if not pair else (
             chain.from_iterable(    # (x_i, y_j) of depth sum <= d
                 range(i * n, i * n + bisect_right(depth, d - depth[i]))
@@ -404,11 +397,10 @@ def _quotient(side, ball, elements, k, joins, budget_limit, margin,
 
 
 def quotient_ball(solver, ball: LabeledDigraph, k_gens,
-                  budget_limit=DEFAULT_BUDGET, side="L/K",
-                  margin: int = 0) -> QuotientBall:
+                  budget_limit=DEFAULT_BUDGET, side="L/K") -> QuotientBall:
     """Weak orbits of right multiplication by the submonoid generated by
     k_gens, restricted to the Cayley ball built with solver.  Classes whose
-    members all lie within margin of the ball boundary are flagged partial:
+    members all lie within the ball's margin of its boundary are partial:
     their membership and distinctness are least settled at this radius."""
     elements, ids = ball.vertices, ball.ids
     k_gens = tuple(tuple(g) for g in k_gens)
@@ -421,13 +413,12 @@ def quotient_ball(solver, ball: LabeledDigraph, k_gens,
             if j is not None:
                 yield i, j
 
-    return _quotient(side, ball, list(elements), k, joins, budget_limit,
-                     margin)
+    return _quotient(side, ball, list(elements), k, joins, budget_limit)
 
 
 def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
                        budget_limit=DEFAULT_BUDGET, side="LxL/K",
-                       margin: int = 0, twist=None) -> QuotientBall:
+                       twist=None) -> QuotientBall:
     """Tensor classes of pairs from the Cayley ball (built with solver)
     under the transfer moves (x.g, y) ~ (x, twist(g).y) for each generator
     g of the middle submonoid; twist defaults to the identity and carries
@@ -463,8 +454,7 @@ def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
         return zip(xs, ys)
 
     pairs = [(x, y) for x in elements for y in elements]
-    return _quotient(side, ball, pairs, k, joins, budget_limit, margin,
-                     pair=True)
+    return _quotient(side, ball, pairs, k, joins, budget_limit, pair=True)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +469,7 @@ class BassSerreGraph:
     kind: str
     radius: int
     vertex_balls: dict      # side -> QuotientBall, in vertex order
+    vertex_interior: list   # vertex -> bool
     edge_side: str
     edge_ball: QuotientBall
     edge_class: list        # edge -> class id in edge_ball
@@ -494,15 +485,16 @@ class BassSerreGraph:
                 return side, v
             v -= len(qb.classes)
 
-    def vertex_interior(self):
-        return [not p for qb in self.vertex_balls.values()
-                for p in qb.partial]
+    @property
+    def truncated(self):    # whether the budget ran out in one of its balls
+        return any(qb.truncated
+                   for qb in (self.edge_ball, *self.vertex_balls.values()))
 
     def interior_vertex_ids(self):
-        return [i for i, ok in enumerate(self.vertex_interior()) if ok]
+        return [i for i, ok in enumerate(self.vertex_interior) if ok]
 
     def interior_edge_ids(self):
-        inner = self.vertex_interior()
+        inner = self.vertex_interior
         return [e for e, ok in enumerate(self.edge_interior)
                 if ok and inner[self.tail[e]] and inner[self.head[e]]]
 
@@ -518,7 +510,7 @@ class BassSerreGraph:
 
     def forest_by_search(self) -> bool:
         """Undirected acyclicity of the interior subgraph via union-find."""
-        uf = UnionFind(len(self.vertex_interior()))
+        uf = UnionFind(len(self.vertex_interior))
         for e in self.interior_edge_ids():
             if uf.find(self.tail[e]) == uf.find(self.head[e]):
                 return False
@@ -531,17 +523,22 @@ class BassSerreGraph:
         m = self.boundary_matrix()
         return rank_exact(m) == m.cols
 
-    def to_json(self):
-        sides, labels = [], []      # a label is [representative]side
+    def vertex_labels(self):
+        """The side and the label, [representative]side, of each vertex."""
+        sides, labels = [], []
         for side, qb in self.vertex_balls.items():
             sides += repeat(side, len(qb.classes))
             labels += qb.rep_names(range(len(qb.classes)), "[", "]" + side)
+        return sides, labels
+
+    def to_json(self):
+        sides, labels = self.vertex_labels()
         return {
             "kind": self.kind,
             "radius": self.radius,
             "vertices": Columns(
                 id=list(range(len(sides))), side=sides, label=labels,
-                interior=self.vertex_interior()),
+                interior=self.vertex_interior),
             "edges": Columns(
                 tail=self.tail, head=self.head, interior=self.edge_interior,
                 label=self.edge_ball.rep_names(
@@ -551,8 +548,8 @@ class BassSerreGraph:
 
     def to_dot(self):
         lines = [f"graph bass_serre {{"]
-        v = self.to_json()["vertices"]
-        for i, label, ok in zip(v["id"], v["label"], v["interior"]):
+        labels = self.vertex_labels()[1]
+        for i, (label, ok) in enumerate(zip(labels, self.vertex_interior)):
             style = "" if ok else ", style=dashed"
             lines.append(f'  v{i} [label={dot_quoted(label)}{style}];')
         for tail, head, ok in zip(self.tail, self.head, self.edge_interior):
@@ -616,20 +613,20 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
         tail.append(t)
         head.append(h)
         interior.append(inside)
-    return BassSerreGraph(kind, radius, vertex_balls, edge_side, edge_ball,
-                          edge_class, tail, head, interior, diagnostics)
+    vertex_interior = [not p for qb in balls for p in qb.partial]
+    return BassSerreGraph(kind, radius, vertex_balls, vertex_interior,
+                          edge_side, edge_ball, edge_class, tail, head,
+                          interior, diagnostics)
 
 
 def _balls(build, ctx, radius, budget_limit, margin):
     """build (quotient_ball or pair_quotient_ball) on the one Cayley ball of
-    ctx's presentation at radius, as a function of the generators and side;
-    the margin defaults to the longest relation side."""
-    if margin is None:
-        margin = default_margin(ctx.presentation)
-    ball = cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, 0)
+    ctx's presentation at radius and margin, as a function of the
+    generators and side; the margin defaults to the longest relation side."""
+    margin = longest_side(ctx.presentation) if margin is None else margin
+    ball = cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, margin)
     return lambda gens, side, **twist: build(
-        ctx.solver, ball, gens, budget_limit, side=side, margin=margin,
-        **twist)
+        ctx.solver, ball, gens, budget_limit, side=side, **twist)
 
 
 @dataclass
@@ -748,7 +745,6 @@ def bass_serre_forest_bi(ctx, radius: int, budget_limit=DEFAULT_BUDGET,
 
 @dataclass
 class DerivationSpec:
-    side: str               # "left" or "bimodule"
     images: dict            # letter -> list of (coeff, payload)
     resolver: object        # payload -> class id (or None)
     solver: object          # word normal form in L
@@ -786,7 +782,7 @@ def derivation_eval(d: DerivationSpec, word: Word) -> DerivationValue:
     payloads = {}           # unresolved-by-design storage: payload -> coeff
     prefix = EMPTY
     for letter in word:
-        if d.side == "bimodule":
+        if d.act_right is not None:
             payloads = {d.act_right(p, letter): c
                         for p, c in payloads.items()}
         for coeff, payload in d.images[letter]:
@@ -806,7 +802,7 @@ def _left_derivation(ctx, images, edge_ball) -> DerivationSpec:
     """The one-sided derivation with the given letter images, its values
     resolved to the classes of edge_ball."""
     return DerivationSpec(
-        "left", images, lambda payload: edge_ball.lookup(ctx.solver(payload)),
+        images, lambda payload: edge_ball.lookup(ctx.solver(payload)),
         ctx.solver, act_left=lambda prefix, payload: prefix + payload)
 
 
@@ -834,7 +830,7 @@ def op_forest_derivation(ctx: OPBallContext,
     images = {a: [] for a in ctx.spec.m.alphabet.letters}
     images[ctx.spec.stable_letter] = [(1, (EMPTY, EMPTY))]
     return DerivationSpec(
-        "bimodule", images,
+        images,
         lambda payload: edge_ball.lookup(tuple(map(ctx.solver, payload))),
         ctx.solver,
         act_left=lambda prefix, payload: (prefix + payload[0], payload[1]),

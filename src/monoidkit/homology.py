@@ -253,23 +253,13 @@ def chain_homology(boundaries: list[SparseIntMatrix]):
             for i, dim in enumerate(dims)]
 
 
-def exactness_check(seq: list[SparseIntMatrix], augmentation: SparseIntMatrix = None):
-    """Exactness defects of a finite truncation  C_k -> ... -> C_0 [-> Z].
-
-    seq lists k >= 1 boundary maps from the top degree down; each
-    consecutive composite must vanish.  Defects are reported at interior
-    slots (the codomain of each map except the last); the kernel dimension
-    at the top end is reported separately since a truncated complex makes
-    no claim there.
-    """
-    return _exactness(chain_homology(seq[::-1]), seq[-1], augmentation)
-
-
-def _exactness(homology, last, augmentation):
-    """The exactness report read from chain_homology's list; last is the
-    map into the lowest degree, where the augmentation e starts.  An
-    interior slot's defect is its Betti number; e lowers the bottom one by
-    rank e and adds its cokernel."""
+def exactness_check(homology, last, augmentation=None):
+    """Exactness defects of a finite truncation  C_k -> ... -> C_0 [-> Z],
+    read from chain_homology's list.  An interior slot's defect is its
+    Betti number; the kernel dimension at the top end is reported apart,
+    since a truncated complex makes no claim there.  last is the map into
+    the lowest degree, where the augmentation e starts: e must compose with
+    it to zero, lowers the bottom defect by rank e and adds its cokernel."""
     betti = [h["betti"] for h in reversed(homology)]
     defects = [{"slot": i, "defect": betti[i]}
                for i in range(1, len(betti) - 1)]

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .words import Alphabet, Presentation, Word
+from .words import Alphabet, Presentation, Word, format_word, longest_side
 
 RAW = "raw"
 ORIENTED = "oriented"
@@ -216,7 +216,7 @@ class Verdict:
     def to_json(self):
         out = {"verdict": self.value, "steps": self.budget_spent}
         if self.witness is not None:
-            out["witness"] = [" ".join(w) if w else "1" for w in self.witness]
+            out["witness"] = list(map(format_word, self.witness))
         return out
 
 
@@ -234,15 +234,10 @@ def _rule(alphabet: Alphabet, u: Word, v: Word) -> RewriteRule:
     return RewriteRule(u, v)
 
 
-def orient_system(source, alphabet: Alphabet = None) -> RewriteSystem:
-    """Orient a presentation (or raw rule list) into shortlex-decreasing rules."""
-    if isinstance(source, Presentation):
-        alphabet = source.alphabet
-        pairs = list(source.relations)
-    else:
-        pairs = [(r.lhs, r.rhs) for r in source]
-    rules = tuple(_rule(alphabet, u, v) for u, v in pairs if u != v)
-    return RewriteSystem(alphabet, rules, ORIENTED)
+def orient_system(p: Presentation) -> RewriteSystem:
+    """Orient a presentation into shortlex-decreasing rules."""
+    rules = tuple(_rule(p.alphabet, u, v) for u, v in p.relations if u != v)
+    return RewriteSystem(p.alphabet, rules, ORIENTED)
 
 
 def _rewrite(index: _Index, w: Word, budget: Budget = None,
@@ -273,15 +268,6 @@ def normalize(s: RewriteSystem, w: Word, budget: Budget = None,
     Terminates: every rule is shortlex-decreasing."""
     s.require_oriented()
     return _rewrite(s._index, w, budget, trace)
-
-
-def normalize_trace(s: RewriteSystem, w: Word, budget: Budget = None) -> list[Word]:
-    """Every word normalize passes through, w first and the normal form last;
-    raises BudgetExhausted like normalize."""
-    s.require_oriented()
-    trace = [w]
-    _rewrite(s._index, w, budget, trace)
-    return trace
 
 
 def critical_pairs(s: RewriteSystem):
@@ -481,8 +467,7 @@ def equal_words(ctx, u: Word, v: Word, budget_limit=DEFAULT_BUDGET) -> Verdict:
     p: Presentation = ctx
     if u == v:
         return Verdict("proven", [u], 0)
-    longest = max([1] + [len(x) for rel in p.relations for x in rel])
-    cap = max(len(u), len(v)) + 2 * longest
+    cap = max(len(u), len(v)) + 2 * max(1, longest_side(p))
     budget = Budget(budget_limit)
     try:
         parents = _ball_with_parents(p, u, cap, budget)

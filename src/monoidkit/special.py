@@ -24,6 +24,8 @@ from .words import (
     Word,
     WordError,
     format_word,
+    longest_side,
+    primitive_root,
 )
 from .rewriting import (
     COMPLETE,
@@ -93,10 +95,6 @@ def _invertible_in(ball_parents, max_len: int) -> set:
             & {t[-k:] for t in tails for k in range(1, len(t) + 1)})
 
 
-def _longest_relator(sp: SpecialPresentation) -> int:
-    return max((len(r) for r in sp.relators), default=0)
-
-
 def certify_invertible(sp: SpecialPresentation, u: Word,
                        budget_limit=DEFAULT_BUDGET, system=None) -> Verdict:
     """Search for a right inverse v (uv = 1) and a left inverse v' (v'u = 1)
@@ -108,7 +106,7 @@ def certify_invertible(sp: SpecialPresentation, u: Word,
     no right inverse (symmetrically for the last letter and left inverses).
     """
     budget = Budget(budget_limit)
-    cap = 2 * len(u) + 2 * _longest_relator(sp)
+    cap = 2 * len(u) + 2 * longest_side(sp.base)
     parents, _ = _unit_ball(sp, cap, budget)
     # the shortest inverses, ties to the first word in (len(w), w) order,
     # which compares letter names as Python strings, not by
@@ -283,7 +281,7 @@ def compute_delta(sp: SpecialPresentation,
 
     min_len = min((len(r) for r in sp.relators), default=0)
     budget = Budget(budget_limit)
-    cap = 2 * min_len + 2 * _longest_relator(sp)
+    cap = 2 * min_len + 2 * longest_side(sp.base)
     ball, closed = _unit_ball(sp, cap, budget)
     if not closed:
         _flag(ua, "unit_ball_truncated", cap=cap, spent=budget.spent)
@@ -358,14 +356,12 @@ def compute_delta(sp: SpecialPresentation,
 def units_presentation(ua: UnitsAnalysis) -> Presentation:
     """The group of units, presented over B by all cyclic permutations of
     the relator images (each set equal to 1)."""
-    return Presentation(ua.b_alphabet, ua.t0, name="units")
+    return Presentation(ua.b_alphabet, ua.t0)
 
 
 def torsion_flag(sp: SpecialPresentation) -> dict:
     """For a one-relator presentation w = 1 with w = p^k (p primitive), the
     group of units has torsion exactly when k > 1."""
-    from .words import primitive_root
-
     if len(sp.relators) != 1:
         raise NotOneRelatorError(
             f"expected exactly one relator, got {len(sp.relators)}")
@@ -401,7 +397,6 @@ def compute_I_I0(ua: UnitsAnalysis):
         if count != 1:
             _flag(ua, "I0_delta_class_mismatch", class_index=j + 1,
                   count=count)
-    return ua.I, ua.I0
 
 
 def right_units_presentation(ua: UnitsAnalysis) -> tuple[Presentation, dict]:
@@ -416,7 +411,7 @@ def right_units_presentation(ua: UnitsAnalysis) -> tuple[Presentation, dict]:
     z_words.sort(key=alphabet.shortlex_key)
     z_letters = tuple(f"z{j + 1}" for j in range(len(z_words)))
     letters = ua.b_alphabet.letters + z_letters
-    pres = Presentation(Alphabet(letters), ua.t0, name="right-units")
+    pres = Presentation(Alphabet(letters), ua.t0)
     return pres, dict(zip(z_letters, (tuple(w) for w in z_words)))
 
 

@@ -8,7 +8,7 @@ the surface syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Word = tuple[str, ...]
 
@@ -113,12 +113,17 @@ class Alphabet:
 class Presentation:
     alphabet: Alphabet
     relations: tuple[tuple[Word, Word], ...]
-    name: str = None
 
     def __post_init__(self):
         for lhs, rhs in self.relations:
             self.alphabet.check_word(lhs)
             self.alphabet.check_word(rhs)
+
+
+def longest_side(p: Presentation) -> int:
+    """The longest side of a relation of p, the depth of the detour a
+    relation can take outside a ball; 0 without relations."""
+    return max((len(w) for rel in p.relations for w in rel), default=0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ def parse_word_tokens(tokens, alphabet: Alphabet = None, line=None) -> Word:
     return w
 
 
-def parse_presentation(text: str, name: str = None, order=None) -> Presentation:
+def parse_presentation(text: str, order=None) -> Presentation:
     """Parse the line-oriented presentation format.
 
     Line 1 (after comments): ``letters:`` followed by identifiers.
@@ -184,7 +189,7 @@ def parse_presentation(text: str, name: str = None, order=None) -> Presentation:
         relations.append((lhs, rhs))
     if alphabet is None:
         raise PresentationSyntaxError("missing 'letters:' declaration")
-    return Presentation(alphabet, tuple(relations), name)
+    return Presentation(alphabet, tuple(relations))
 
 
 def serialize_presentation(p: Presentation) -> str:
@@ -221,7 +226,7 @@ class Columns(dict):
     """Artifact rows as columns: key -> its scalar value in each row."""
 
 
-def presentation_from_json(data: dict, name=None) -> Presentation:
+def presentation_from_json(data: dict) -> Presentation:
     """Read ``{"letters": [...], "relations": [{"lhs": ..., "rhs": ...}]}``.
 
     A side is a list of letters or a space-separated string, ``1`` for the
@@ -238,7 +243,7 @@ def presentation_from_json(data: dict, name=None) -> Presentation:
         (side(json_field(json_checked(r, dict, "a relation"), "lhs")),
          side(json_field(r, "rhs")))
         for r in json_checked(data.get("relations", []), list, "relations"))
-    return Presentation(alphabet, relations, name)
+    return Presentation(alphabet, relations)
 
 
 def validate_special(p: Presentation) -> SpecialPresentation:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from monoidkit import cli, constructions, special
 from monoidkit.cayley import cayley_complex_chain
 from monoidkit.cli import main
-from monoidkit.homology import SparseIntMatrix
+from monoidkit.homology import SparseIntMatrix, exactness_check
 from monoidkit.words import Columns
 
 BICYCLIC = "letters: a b\nrel: a b = 1\n"
@@ -469,6 +469,24 @@ def test_homology(capsys, bicyclic_file):
     assert [h["betti"] for h in data["homology"]] == [1, 0, 0]
 
 
+def test_homology_reads_exactness_once(capsys, bicyclic_file, monkeypatch):
+    # the command computes exactness through exactness_check, once, from
+    # the homology list it writes
+    calls = []
+
+    def counted(homology, last, augmentation=None):
+        calls.append(homology)
+        return exactness_check(homology, last, augmentation)
+
+    monkeypatch.setattr(cli, "exactness_check", counted)
+    for radius in ("3", "6"):
+        code, data = run_json(capsys, "homology", "--presentation",
+                              bicyclic_file, "--radius", radius)
+        assert code == 0
+        assert calls[-1] == data["homology"]
+    assert len(calls) == 2
+
+
 def test_verify_derivations(capsys, op_spec_file):
     code, data = run_json(capsys, "verify-derivations", "--kind", "otto-pride",
                           "--spec", op_spec_file, "--radius", "5",
@@ -527,6 +545,31 @@ def test_verify_derivations_truncated_ball_is_no_failure(
     if budget == 0 and not forest:
         assert {"kind": "relation", "lhs": "a a t", "rhs": "t a"} in \
             data["derivation"]["skipped"]
+
+
+@pytest.mark.parametrize("budget, code", [(0, 3), (1, 3), (10**6, 0)])
+@pytest.mark.parametrize("forest", [[], ["--forest"]])
+@pytest.mark.parametrize("fmt", ["json", "dot", "matrix"])
+def test_bass_serre_truncated_ball_exits_3(capsys, op_spec_file, budget,
+                                           code, forest, fmt):
+    # at radius 3 the budgets 0 and 1 truncate the balls of <a,t | a a t
+    # = t a>: the graph is still written, and the run exits 3 (budget
+    # exhausted), in every format
+    assert main(["bass-serre", "--kind", "otto-pride", "--spec",
+                 op_spec_file, "--radius", "3", "--budget", str(budget),
+                 "--format", fmt, *forest]) == code
+    out, err = capsys.readouterr()
+    assert ("budget_exhausted" in err) == (code == 3)
+    if fmt == "dot":
+        assert out.startswith("graph bass_serre {")
+    elif fmt == "json":
+        data = json.loads(out)
+        interior = [v["interior"] for v in data["vertices"]]
+        assert any(interior) == (code == 0)
+        if budget == 0 and not forest:
+            assert len(interior) == 14 and data["forest_by_search"]
+    else:   # the first number counts the interior vertices
+        assert (out.split()[0] != "0") == (code == 0)
 
 
 @pytest.mark.parametrize("kind, spec", [("amalgam", AMALGAM_SPEC),

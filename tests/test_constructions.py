@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monoidkit.words import (
-    EMPTY, Alphabet, Presentation, UnionFind, format_word)
+    EMPTY, Alphabet, Presentation, UnionFind, format_word, longest_side)
 from monoidkit.rewriting import Budget, equal_words, normalize
 from monoidkit import constructions
-from monoidkit.cayley import cayley_ball, default_margin
+from monoidkit.cayley import CayleyError, cayley_ball, dot_quoted
 from monoidkit.constructions import (
     AmalgamSpec,
     BassSerreGraph,
@@ -322,8 +322,8 @@ def test_op_multiply_associative(opctx, octx):
 # quotient balls
 
 
-def ball_of(ctx, radius):
-    return cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, 0)
+def ball_of(ctx, radius, margin=0):
+    return cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, margin)
 
 
 def test_quotient_ball_submonoid_collapses(octx):
@@ -341,8 +341,8 @@ def test_quotient_ball_parity(octx):
 
 
 def test_quotient_ball_partial_flags(octx):
-    qb = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images,
-                       side="L/A", margin=2)
+    qb = quotient_ball(octx.solver, ball_of(octx, 4, 2), octx.a_images,
+                       side="L/A")
     assert not qb.partial[qb.lookup(EMPTY)]
     deep = [ci for ci in range(len(qb.classes)) if qb.partial[ci]]
     for ci in deep:
@@ -484,16 +484,16 @@ def pair_ball_cases(draw):
 def test_pair_quotient_ball_matches_per_pair_oracle(case):
     ctx, k_gens, twist, radius, budget, margin = case
     alphabet = ctx.presentation.alphabet
-    got = pair_quotient_ball(ctx.solver, ball_of(ctx, radius), k_gens,
-                             budget, margin=margin, twist=twist)
+    got = pair_quotient_ball(ctx.solver, ball_of(ctx, radius, margin),
+                             k_gens, budget, twist=twist)
     want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, radius,
                                      budget, margin=margin, twist=twist)
     assert ball_fields(got) == ball_fields(want)
     assert got.pairs == want.elements
     assert all(got.lookup(p) == want.class_of[i]
                for i, p in enumerate(want.elements))
-    got = quotient_ball(ctx.solver, ball_of(ctx, radius), k_gens, budget,
-                        margin=margin)
+    got = quotient_ball(ctx.solver, ball_of(ctx, radius, margin), k_gens,
+                        budget)
     want = oracle_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
                                 margin=margin)
     assert ball_fields(got) == ball_fields(want)
@@ -507,13 +507,12 @@ def test_lookup_matches_element_dict(case, data):
     # ball's elements must agree on every element and on words and pairs
     # that leave the ball or are not in normal form
     ctx, k_gens, twist, radius, budget, margin = case
-    ball = ball_of(ctx, radius)
+    ball = ball_of(ctx, radius, margin)
     word = st.lists(st.sampled_from(ctx.presentation.alphabet.letters),
                     max_size=radius + 2).map(tuple)
     probes = ball_of(ctx, radius + 1).vertices + data.draw(st.lists(word))
-    single = quotient_ball(ctx.solver, ball, k_gens, budget, margin=margin)
-    pairs = pair_quotient_ball(ctx.solver, ball, k_gens, budget,
-                               margin=margin, twist=twist)
+    single = quotient_ball(ctx.solver, ball, k_gens, budget)
+    pairs = pair_quotient_ball(ctx.solver, ball, k_gens, budget, twist=twist)
     assert any(single.lookup(x) is None for x in probes)
     for qb, outside in ((single, probes),
                         (pairs, list(zip(probes, probes[::-1])))):
@@ -572,8 +571,8 @@ def test_pair_quotient_ball_budget_cut(k, e, shift, twisted):
     twist = ({g: gens[(i + 1) % len(gens)] for i, g in enumerate(k_gens)}
              if twisted else None)
     alphabet, budget = ctx.presentation.alphabet, e * k + shift
-    got = pair_quotient_ball(ctx.solver, ball_of(ctx, 2), k_gens, budget,
-                             margin=1, twist=twist)
+    got = pair_quotient_ball(ctx.solver, ball_of(ctx, 2, 1), k_gens, budget,
+                             twist=twist)
     want = oracle_pair_quotient_ball(ctx.solver, alphabet, k_gens, 2,
                                      budget, margin=1, twist=twist)
     assert len(got.pairs) == 49 and got.truncated
@@ -581,9 +580,13 @@ def test_pair_quotient_ball_budget_cut(k, e, shift, twisted):
 
 
 def test_quotient_core_rejects_negative_margin(octx):
-    for build in (quotient_ball, pair_quotient_ball):
-        with pytest.raises(ConstructionError):
-            build(octx.solver, ball_of(octx, 2), [w("a")], margin=-1)
+    # the quotient balls read their margin from the Cayley ball, which
+    # rejects a negative one, as do the graph builders that build it
+    with pytest.raises(CayleyError):
+        ball_of(octx, 2, -1)
+    for build in (bass_serre_ball_op, bass_serre_forest_bi):
+        with pytest.raises(CayleyError):
+            build(octx, 2, margin=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +599,7 @@ def test_quotient_core_rejects_negative_margin(octx):
 
 def components(g):
     """Interior components as a map vertex id -> component id."""
-    interior = g.vertex_interior()
+    interior = g.vertex_interior
     uf = UnionFind(len(interior))
     uf.union_all((g.tail[e], g.head[e]) for e in g.interior_edge_ids())
     # interior edges join interior vertices only
@@ -668,7 +671,7 @@ def test_graph_json_and_dot(actx):
     j = g.to_json()
     assert j["kind"] == "amalgam"
     assert [v["id"] for v in rows(j["vertices"])] == list(
-        range(len(g.vertex_interior())))
+        range(len(g.vertex_interior)))
     assert [(e["tail"], e["head"]) for e in rows(j["edges"])] == list(
         zip(g.tail, g.head))
     assert g.to_dot().startswith("graph")
@@ -841,8 +844,10 @@ def oracle_graph(kind, radius, vertex_balls, edge_side, edge_ball, edges,
     """The graph with the given edges, as rows (class id, tail, head,
     interior)."""
     columns = [list(c) for c in zip(*edges)] or [[], [], [], []]
-    return BassSerreGraph(kind, radius, vertex_balls, edge_side, edge_ball,
-                          *columns, diagnostics)
+    vertex_interior = [not p for qb in vertex_balls.values()
+                       for p in qb.partial]
+    return BassSerreGraph(kind, radius, vertex_balls, vertex_interior,
+                          edge_side, edge_ball, *columns, diagnostics)
 
 
 def oracle_amalgam_tree(ctx, radius, budget, margin):
@@ -1061,7 +1066,7 @@ def test_bass_serre_labels_are_formatted_on_read(monkeypatch, kind, forest):
                         lambda x: formatted.append(x) or format_word(x))
     ctx, _ = ball_context(kind, 2, 3)
     g = build_graph(kind, forest, ctx, 3, 10**6, 1)
-    assert g.vertex_interior() and g.edge_class and not formatted
+    assert g.vertex_interior and g.edge_class and not formatted
 
     def label(qb, class_id, side):
         words = qb.rep(class_id) if forest else (qb.rep(class_id),)
@@ -1077,9 +1082,36 @@ def test_bass_serre_labels_are_formatted_on_read(monkeypatch, kind, forest):
     assert doc["edges"]["label"] == [label(g.edge_ball, ci, g.edge_side)
                                      for ci in g.edge_class]
     assert g.edge_side == ("W" if kind == "amalgam" else "A")
+    # DOT prints no edge label, so it formats the vertex balls' names only,
+    # and its text is the one written from the JSON artifact's rows
+    formatted.clear()
     dot = g.to_dot()
+    assert len(formatted) == len(g.vertex_balls) * words
+    lines = [f'  v{v["id"]} [label={dot_quoted(v["label"])}'
+             + ("" if v["interior"] else ", style=dashed") + "];"
+             for v in rows(doc["vertices"])]
+    lines += [f'  v{e["tail"]} -- v{e["head"]}'
+              + ("" if e["interior"] else " [style=dashed]") + ";"
+              for e in rows(doc["edges"])]
+    assert dot == "\n".join(["graph bass_serre {", *lines, "}"]) + "\n"
     assert all(f'v{i} [label="{v}"' in dot
                for i, v in enumerate(vertex_labels))
+
+
+@pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
+@pytest.mark.parametrize("forest", [False, True])
+def test_vertex_interior_is_the_settled_vertex_classes(kind, forest):
+    # the graph keeps one interior flag per vertex, set when it is built:
+    # vertex i is interior iff its class is not partial, the sides' classes
+    # taken in order
+    ctx, _ = ball_context(kind, 2, 3)
+    g = build_graph(kind, forest, ctx, 3, 10**6, 1)
+    want = []
+    for qb in g.vertex_balls.values():
+        want += [not qb.partial[ci] for ci in range(len(qb.classes))]
+    assert g.vertex_interior == want
+    assert True in want and False in want
+    assert g.interior_vertex_ids() == [v for v, ok in enumerate(want) if ok]
 
 
 @pytest.mark.parametrize("kind", ["amalgam", "otto_pride"])
@@ -1108,15 +1140,15 @@ def test_op_tree_reports_edges_it_leaves_out():
     assert {38, 51} <= {d["edge_class"] for d in g.diagnostics}
 
 
-def test_default_margin():
-    # the longest relation side; 0 without relations, which leave no way
-    # out of the ball
-    assert default_margin(free("x", "y")) == 0
-    assert default_margin(otto_pride_presentation(OP)) == 3
+def test_longest_side():
+    # the default margin; 0 without relations, which leave no way out of
+    # the ball
+    assert longest_side(free("x", "y")) == 0
+    assert longest_side(otto_pride_presentation(OP)) == 3
     spec = AmalgamSpec(free("x"), free("y"), Presentation(Alphabet(()), ()),
                        {}, {})
     ctx = amalgam_context(spec)
     assert ctx.presentation.relations == ()
     assert graph_view(bass_serre_ball_amalgam(ctx, 3)) == graph_view(
         bass_serre_ball_amalgam(ctx, 3, margin=0))
-    assert all(bass_serre_ball_amalgam(ctx, 3).vertex_interior())
+    assert all(bass_serre_ball_amalgam(ctx, 3).vertex_interior)

@@ -315,8 +315,8 @@ def _oracle_exactness(maps, ranks, augmentation):
 
 
 def oracle_homology_and_exactness(boundaries, augmentation=None):
-    """chain_homology(boundaries) and exactness_check(boundaries[::-1],
-    augmentation), the exactness report from the rank of every map."""
+    """chain_homology(boundaries) and exactness_check of it with
+    augmentation, the exactness report from the rank of every map."""
     maps = boundaries[::-1] + ([] if augmentation is None else [augmentation])
     forms = [smith_normal_form(b) for b in boundaries]
     return (_oracle_homology(boundaries, forms),
@@ -422,16 +422,14 @@ def test_chain_homology_rejects_bad_composite():
         chain_homology([M([[1]]), M([[1]])])
 
 
-def test_both_entry_points_reject_a_non_complex():
-    # d1 @ d2 = [[1]] != 0: not a chain complex, whichever way it is read
+def test_a_non_complex_is_rejected():
+    # d1 @ d2 = [[1]] != 0: not a chain complex
     d1, d2 = M([[1, 0]]), M([[1], [0]])
     with pytest.raises(CompositeNotZeroError):
         chain_homology([d1, d2])
+    # the composite into the augmentation is checked by exactness_check
     with pytest.raises(CompositeNotZeroError):
-        exactness_check([d2, d1])
-    # the composite into the augmentation is checked too
-    with pytest.raises(CompositeNotZeroError):
-        exactness_check([M([[1]])], augmentation=M([[1]]))
+        exactness_check(chain_homology([M([[1]])]), M([[1]]), M([[1]]))
 
 
 def test_exactness_check_exact_pair():
@@ -439,7 +437,7 @@ def test_exactness_check_exact_pair():
     # 0 exact slot: C2=Z --(1,0)^T--> C1=Z^2 --(0,1)--> C0=Z
     b2 = M([[1], [0]])
     b1 = M([[0, 1]])
-    rep = exactness_check([b2, b1])
+    rep = exactness_check(chain_homology([b1, b2]), b1)
     assert rep["total_defect"] == 0
     assert rep["left_kernel_dim"] == 0
 
@@ -449,7 +447,7 @@ def test_exactness_check_defect():
     # a middle slot defect comes from a non-surjective-into-kernel pair
     b2 = M([[0], [0]])  # image 0
     b1 = M([[1, 0]])    # kernel dim 1
-    rep = exactness_check([b2, b1])
+    rep = exactness_check(chain_homology([b1, b2]), b1)
     assert rep["defects"] == [{"slot": 1, "defect": 1}]
     assert rep["total_defect"] == 1
     assert rep["left_kernel_dim"] == 1
@@ -459,7 +457,7 @@ def test_exactness_check_augmentation():
     # C1=Z --0--> C0=Z --1--> Z: augmentation surjective and its kernel is 0,
     # so the C0 slot is exact too
     b1 = SparseIntMatrix(1, 1)
-    rep = exactness_check([b1], augmentation=M([[1]]))
+    rep = exactness_check(chain_homology([b1]), b1, M([[1]]))
     assert rep["augmentation_defect"] == 0
     assert rep["total_defect"] == 0
 
@@ -613,10 +611,12 @@ def chain_complexes(draw):
 @given(chain_complexes())
 def test_exactness_read_from_homology_matches_oracle(case):
     seq, augmentation = case
+    maps = seq[::-1]
     want_homology, want_exact = oracle_homology_and_exactness(
-        seq[::-1], augmentation)
-    assert chain_homology(seq[::-1]) == want_homology
-    assert exactness_check(seq, augmentation) == want_exact
+        maps, augmentation)
+    assert chain_homology(maps) == want_homology
+    assert exactness_check(chain_homology(maps), maps[0],
+                           augmentation) == want_exact
 
 
 @settings(max_examples=60, deadline=None)
@@ -636,7 +636,8 @@ def test_homology_artifact_matches_oracle(relator, radius):
                             export.augmentation)
     want_homology, want_exact = oracle_homology_and_exactness(
         [b1, b2], augmentation)
-    assert exactness_check([b2, b1], augmentation) == want_exact
+    assert exactness_check(chain_homology([b1, b2]), b1,
+                           augmentation) == want_exact
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "p.txt")
         with open(path, "w") as f:

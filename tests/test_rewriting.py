@@ -22,7 +22,6 @@ from monoidkit.rewriting import (
     equal_words,
     knuth_bendix,
     normalize,
-    normalize_trace,
     orient_system,
 )
 
@@ -252,6 +251,13 @@ def oracle_normalize_trace(s, word, budget=None):
         trace.append(nxt)
 
 
+def normalize_trace(s, word, budget=None):
+    """Every word normalize passes through, word first."""
+    trace = [word]
+    normalize(s, word, budget, trace)
+    return trace
+
+
 def oracle_normalize(s, word, budget=None):
     return oracle_normalize_trace(s, word, budget)[-1]
 
@@ -427,13 +433,12 @@ def raw_systems(draw):
         j = draw(st.integers(i + 1, len(lhs)))
         pairs.append((lhs[i:j], draw(words_over(letters, 0, j - i))))
     pairs = draw(st.permutations(pairs))
-    return orient_system([RewriteRule(u, v) for u, v in pairs],
-                         Alphabet(tuple(letters)))
+    return orient_system(Presentation(Alphabet(tuple(letters)), tuple(pairs)))
 
 
 def raw(letters, *rules):
-    return orient_system([RewriteRule(w(u), w(v)) for u, v in rules],
-                         Alphabet(tuple(letters)))
+    return orient_system(Presentation(
+        Alphabet(tuple(letters)), tuple((w(u), w(v)) for u, v in rules)))
 
 
 @st.composite
@@ -538,8 +543,7 @@ def relation_systems(draw):
     rels = draw(st.lists(st.tuples(words_over(letters, 2, 5),
                                    words_over(letters, 1, 5)),
                          min_size=1, max_size=3))
-    return orient_system([RewriteRule(u, v) for u, v in rels],
-                         Alphabet(tuple(letters)))
+    return orient_system(Presentation(Alphabet(tuple(letters)), tuple(rels)))
 
 
 def coxeter_sn(n):
