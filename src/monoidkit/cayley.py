@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .words import EMPTY, Alphabet, format_word
 from .rewriting import Verdict
-from .homology import SparseIntMatrix
+from .homology import CompositeNotZeroError, SparseIntMatrix
 from .special import transversal_factor
 
 
@@ -68,11 +68,11 @@ def cayley_ball(solver, alphabet: Alphabet, radius: int,
                 margin: int = 0) -> LabeledDigraph:
     """BFS over right multiplication from the identity, radius levels.
 
-    solver maps a word to its canonical normal form.  A vertex is interior
-    iff its distance from the root is at most radius - margin; callers pass
-    the maximum relator length as the margin so that facts about interior
-    vertices cannot be spoiled by unexplored return paths.
-    """
+    solver maps () and each vertex label plus one letter to its normal
+    form.  Arcs are listed as found, so a non-root vertex's first in-arc
+    comes from the level above.  The margin only marks vertices deeper than
+    radius - margin as not interior; in <a | a^5 = 1> at radius 3 the root
+    is still a ball component alone, though the monoid is one component."""
     if radius < 0 or margin < 0:
         raise CayleyError(
             f"radius and margin must be >= 0, got {radius} and {margin}")
@@ -377,3 +377,32 @@ def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
     aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
     return ChainComplexExport(b1, b2, aug,
                               [v for v, _ in cells], skipped)
+
+
+def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
+    """(d1, d2) of the complex with the ball's BFS tree contracted, which
+    has export's homology; export's maps must compose to zero.  Pairing
+    each non-root vertex with its first in-arc, from the level above, is an
+    acyclic matching (Forman; Skoldberg): parent chains lower depth.  No
+    arc is paired with a 2-cell, so d2 is boundary2 on the other arcs, in
+    arc order; a path from such an arc meets the root with +1 and -1, so
+    d1 = 0 and degree 0 keeps Betti number 1 and no torsion.  The cycles of
+    Z^E project isomorphically onto the other arcs and Z^E / im boundary2
+    is H1 plus a free part: d2 has boundary2's rank and factors above 1."""
+    if not (export.boundary1 @ export.boundary2).is_zero():
+        raise CompositeNotZeroError("boundary1 @ boundary2 is not zero")
+    reached = [True] + [False] * (len(ball.vertices) - 1)  # root: no arc
+    row = {}                # non-tree arc -> its row of d2
+    for k, (s, d, _a) in enumerate(ball.arcs):
+        if reached[d]:
+            row[k] = len(row)
+        elif ball.depth[s] != ball.depth[d] - 1:
+            raise CayleyError(f"vertex {d} has no BFS tree arc")
+        else:
+            reached[d] = True
+    if not all(reached):
+        raise CayleyError("a vertex of the ball has no arc into it")
+    d2 = SparseIntMatrix(len(row), export.boundary2.cols)
+    d2.entries = {(row[k], c): v for (k, c), v in
+                  export.boundary2.entries.items() if k in row}
+    return SparseIntMatrix(1, len(row)), d2

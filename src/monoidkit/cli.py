@@ -50,6 +50,7 @@ from .cayley import (
     check_rooted_tree,
     check_unique_entrance,
     condensation_matches_hasse,
+    contract_tree,
     scc_condense,
 )
 from .homology import HomologyError, chain_homology, exactness_check
@@ -349,11 +350,12 @@ def cmd_analyze_special(args):
 
 
 def _ball_from_args(args, p, margin=None):
-    # each word of the ball is normalized once, so no memo
+    # one call per word, so no memo; every redex ends at the last letter
     _, system = completed_solver(p, args.budget)
     margin = margin if margin is not None else longest_side(p)
-    return cayley_ball(lambda w: normalize(system, w), p.alphabet,
-                       args.radius, margin)
+    return cayley_ball(lambda w: normalize(
+        system, w, start=max(0, len(w) - system._index.longest)),
+        p.alphabet, args.radius, margin)
 
 
 def cmd_cayley(args):
@@ -472,7 +474,7 @@ def cmd_homology(args):
     sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
-    homology = chain_homology([export.boundary1, export.boundary2])
+    homology = chain_homology(list(contract_tree(g, export)))
     exact = exactness_check(homology, export.boundary1, export.augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})
     if exact["total_defect"] != 0:

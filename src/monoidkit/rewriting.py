@@ -241,12 +241,11 @@ def orient_system(p: Presentation) -> RewriteSystem:
 
 
 def _rewrite(index: _Index, w: Word, budget: Budget = None,
-             trace: list = None, skip=None) -> Word:
+             trace: list = None, skip=None, pos=0) -> Word:
     """Rewrite the leftmost redex, lowest rank first, to a fixed point,
     one budget step per rewrite, never applying the rule of rank skip; each
-    new word is appended to trace."""
+    new word is appended to trace.  No redex may start before pos."""
     back = index.longest - 1
-    pos = 0
     while True:
         hit = index.leftmost(w, pos, skip)
         if hit is None:
@@ -263,11 +262,11 @@ def _rewrite(index: _Index, w: Word, budget: Budget = None,
 
 
 def normalize(s: RewriteSystem, w: Word, budget: Budget = None,
-              trace: list = None) -> Word:
-    """Reduce to a fixed point, appending each new word to trace.
-    Terminates: every rule is shortlex-decreasing."""
+              trace: list = None, start=0) -> Word:
+    """Reduce w, where no redex starts before start, to a fixed point,
+    appending each new word to trace.  Terminates: rules shortlex-decrease."""
     s.require_oriented()
-    return _rewrite(s._index, w, budget, trace)
+    return _rewrite(s._index, w, budget, trace, pos=start)
 
 
 def critical_pairs(s: RewriteSystem):

@@ -1,13 +1,22 @@
+import argparse
+import dataclasses
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from monoidkit.words import EMPTY, parse_presentation, validate_special
+from monoidkit import cli
+from monoidkit.words import (
+    EMPTY,
+    longest_side,
+    parse_presentation,
+    validate_special,
+)
 from monoidkit.rewriting import knuth_bendix, normalize, orient_system
 from monoidkit.special import compute_delta, normalize_special
 from monoidkit.cayley import (
     CayleyError,
+    ChainComplexExport,
     _ahu_code,
     LabeledDigraph,
     cayley_ball,
@@ -16,10 +25,16 @@ from monoidkit.cayley import (
     check_unique_entrance,
     condensation_matches_hasse,
     hasse_prefix_tree,
+    contract_tree,
     rooted_trees_isomorphic,
     scc_condense,
 )
-from monoidkit.homology import chain_homology, exactness_check
+from monoidkit.homology import (
+    CompositeNotZeroError,
+    SparseIntMatrix,
+    chain_homology,
+    exactness_check,
+)
 
 
 def w(s):
@@ -366,3 +381,117 @@ def test_dot_output():
     g = ball_for(INVOLUTION, 2)
     dot = g.to_dot()
     assert dot.startswith("digraph") and "v0 -> v1" in dot
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.text("ab", max_size=4)] * 2),
+                min_size=1, max_size=2),
+       st.integers(0, 5))
+# completion adds a rule whose lhs is longer than every relation side
+@example([("baa", "aa"), ("bba", "bbb")], 5)
+@example([("abb", "a"), ("bab", "aba")], 5)
+def test_cli_ball_rewrites_from_the_last_letter(relations, radius):
+    """The CLI's Cayley ball, whose solver starts rewriting one longest lhs
+    before the last letter, is the ball whose solver rewrites each word
+    from its start."""
+    p = parse_presentation("letters: a b\n" + "".join(
+        f"rel: {' '.join(u) or '1'} = {' '.join(v) or '1'}\n"
+        for u, v in relations))
+    result = knuth_bendix(orient_system(p), 2000)
+    assume(result.completed)
+    want = cayley_ball(lambda word: normalize(result.system, word),
+                       p.alphabet, radius, longest_side(p))
+    got = cli._ball_from_args(argparse.Namespace(budget=2000, radius=radius),
+                              p)
+    assert got == want and got.ids == want.ids
+
+
+@st.composite
+def bfs_complexes(draw):
+    """(ball, export): a connected graph whose arcs are listed in the order
+    a breadth-first search finds them, as cayley_ball lists them, and
+    2-cells that are integer combinations of its fundamental cycles with
+    coefficients in {1, -1, 2, -2, 3}, so that torsion occurs."""
+    n = draw(st.integers(1, 8))
+    out = [draw(st.lists(st.integers(0, n - 1), max_size=3))
+           for _ in range(n)]
+    ids, depth, arcs, queue = {0: 0}, [0], [], deque([0])
+    while queue:
+        v = queue.popleft()
+        for u in out[v]:
+            if u not in ids:
+                ids[u] = len(depth)
+                depth.append(depth[ids[v]] + 1)
+                queue.append(u)
+            arcs.append((ids[v], ids[u], "a"))
+    n_v, n_e = len(depth), len(arcs)
+    b1 = SparseIntMatrix(n_v, n_e)
+    for k, (s, d, _) in enumerate(arcs):
+        b1.add_at(d, k, 1)
+        b1.add_at(s, k, -1)
+    # the tree path from the root to each vertex, as arc ids
+    path = [[] for _ in range(n_v)]
+    seen = {0}
+    for k, (s, d, _) in enumerate(arcs):
+        if d not in seen:
+            seen.add(d)
+            path[d] = path[s] + [k]
+    tree = {k for p in path for k in p}
+    cycles = []     # k + path(s) - path(d) for each non-tree arc k = (s, d)
+    for k, (s, d, _) in enumerate(arcs):
+        if k not in tree:
+            z = {k: 1}
+            for j in path[s]:
+                z[j] = z.get(j, 0) + 1
+            for j in path[d]:
+                z[j] = z.get(j, 0) - 1
+            cycles.append(z)
+    cells = draw(st.lists(st.lists(st.tuples(
+        st.integers(0, max(len(cycles) - 1, 0)),
+        st.sampled_from([1, -1, 2, -2, 3])), max_size=3), max_size=4)
+        if cycles else st.just([]))
+    b2 = SparseIntMatrix(n_e, len(cells))
+    for c, terms in enumerate(cells):
+        for i, f in terms:
+            for k, v in cycles[i].items():
+                b2.add_at(k, c, f * v)
+    ball = LabeledDigraph(FREE.alphabet, [()] * n_v, arcs, [True] * n_v,
+                          depth, max(depth), 0)
+    aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
+    return ball, ChainComplexExport(b1, b2, aug, [], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bfs_complexes())
+@example((LabeledDigraph(FREE.alphabet, [()] * 2, [(0, 1, "a"), (0, 1, "b")],
+                         [True] * 2, [0, 1], 1, 0),
+          ChainComplexExport(
+              SparseIntMatrix(2, 2, {(0, 0): -1, (1, 0): 1,
+                                     (0, 1): -1, (1, 1): 1}),
+              SparseIntMatrix(2, 1, {(0, 0): 2, (1, 0): -2}), None, [], [])))
+def test_contracted_tree_keeps_homology(case):
+    """Contracting the BFS tree keeps every Betti number and torsion
+    coefficient; the example has H1 = Z/2."""
+    ball, export = case
+    d1, d2 = contract_tree(ball, export)
+    n_free = len(ball.arcs) - len(ball.vertices) + 1
+    assert (d1.rows, d1.cols, d2.rows) == (1, n_free, n_free) and d1.is_zero()
+    assert (chain_homology([d1, d2])
+            == chain_homology([export.boundary1, export.boundary2]))
+
+
+def test_contract_tree_needs_a_bfs_tree_and_a_complex():
+    g = ball_for(BICYCLIC, 4)
+    export = cayley_complex_chain(BICYCLIC, g)
+    # an arc into vertex 1 from its own level, listed before its tree arc
+    skips = dataclasses.replace(g, arcs=[(1, 1, "b")] + g.arcs)
+    with pytest.raises(CayleyError):
+        contract_tree(skips, export)
+    orphan = dataclasses.replace(g, vertices=g.vertices + [("x",)],
+                                 depth=g.depth + [1])
+    with pytest.raises(CayleyError):
+        contract_tree(orphan, export)
+    open_cell = dataclasses.replace(export, boundary2=SparseIntMatrix(
+        export.boundary2.rows, 1, {(0, 0): 1}))
+    with pytest.raises(CompositeNotZeroError):
+        contract_tree(g, open_cell)

@@ -461,6 +461,22 @@ def test_chain_composite_zero_is_computed(capsys, bicyclic_file,
     assert data["composite_zero"] is False
 
 
+def test_homology_rejects_a_non_complex(capsys, bicyclic_file, monkeypatch):
+    # the tree contraction keeps the homology of a complex only, so the
+    # composite of the full maps is checked first
+    def open_cell(sp, g):
+        export = cayley_complex_chain(sp, g)
+        return dataclasses.replace(export, boundary2=SparseIntMatrix(
+            export.boundary2.rows, 1, {(0, 0): 1}))
+
+    monkeypatch.setattr(cli, "cayley_complex_chain", open_cell)
+    code = main(["homology", "--presentation", bicyclic_file,
+                 "--radius", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "CompositeNotZeroError"
+
+
 def test_homology(capsys, bicyclic_file):
     code, data = run_json(capsys, "homology", "--presentation", bicyclic_file,
                           "--radius", "6")

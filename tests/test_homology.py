@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from math import gcd
 
-from monoidkit import homology
+from monoidkit import cli, homology
 from monoidkit.cayley import cayley_ball, cayley_complex_chain
 from monoidkit.cli import main
 from monoidkit.constructions import IncompleteSystemError, completed_solver
@@ -547,6 +547,26 @@ def test_homology_artifact_unchanged_by_pivot_heap(
     assert capsys.readouterr().out == heap_out
 
 
+@pytest.mark.parametrize("relator,radius", [
+    ("ab", 30), ("abab", 8), ("aab", 9), ("aaaaa", 20), ("aba", 5),
+    ("abba", 5), ("abc", 4), ("aabb", 0), ("aabb", 1)])
+def test_homology_artifact_unchanged_by_tree_contraction(
+        relator, radius, tmp_path, capsys, monkeypatch):
+    """homology eliminates the complex with its BFS tree contracted; with
+    the full complex it writes the same artifact and exits the same."""
+    f = tmp_path / "p.txt"
+    f.write_text(f"letters: {' '.join(sorted(set(relator)))}\n"
+                 f"rel: {' '.join(relator)} = 1\n")
+    argv = ["homology", "--presentation", str(f), "--radius", str(radius),
+            "--budget", "20000"]
+    contracted_rc = main(argv)
+    contracted_out = capsys.readouterr().out
+    monkeypatch.setattr(cli, "contract_tree", lambda ball, export: (
+        export.boundary1, export.boundary2))
+    assert main(argv) == contracted_rc
+    assert capsys.readouterr().out == contracted_out
+
+
 def _dense_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
@@ -655,8 +675,10 @@ def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
     """One round of the cayley-homology benchmark workload, seed 1: 22
     homology and 22 chain jobs.  Each job multiplies boundary1 @ boundary2
     once and each homology job also the augmentation's composite (66
-    products); each homology job takes the Smith forms of its two
-    boundaries (44) and the rank of its augmentation (22)."""
+    products whose left map has entries), and chain_homology the composite
+    of the contracted complex, whose left map has none (22 more); each
+    homology job takes the Smith forms of its two contracted boundaries
+    (44) and the rank of its augmentation (22)."""
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
     import workloads
@@ -670,12 +692,19 @@ def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counted(
-        "matmul", SparseIntMatrix.__matmul__))
+    matmul = SparseIntMatrix.__matmul__
+
+    def counted_matmul(left, right):
+        calls["matmul"] += 1
+        calls["matmul_left_entries"] += bool(left.entries)
+        return matmul(left, right)
+
+    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counted_matmul)
     for name in ("smith_normal_form", "rank_exact"):
         monkeypatch.setattr(homology, name,
                             counted(name, getattr(homology, name)))
     for job in jobs:
         assert job.run()[0] == 0
     assert len(jobs) == 44
-    assert calls == {"matmul": 66, "smith_normal_form": 44, "rank_exact": 22}
+    assert calls == {"matmul": 88, "matmul_left_entries": 66,
+                     "smith_normal_form": 44, "rank_exact": 22}
