@@ -303,10 +303,13 @@ def rooted_trees_isomorphic(edges_a, root_a, edges_b, root_b) -> bool:
 
 
 def condensation_matches_hasse(ua, g: LabeledDigraph,
-                               rep: CondensationReport) -> bool:
+                               rep: CondensationReport):
     """Interior condensation and the transversal prefix tree built from the
-    same vertices agree as rooted trees."""
+    same vertices agree as rooted trees; None when the root's component is
+    partial, which happens only at radius 0."""
     inside = set(rep.interior_sccs())
+    if rep.root_scc not in inside:
+        return None
     labels = [g.vertices[v] for ci in inside for v in rep.sccs[ci]]
     hasse = hasse_prefix_tree(ua, g, labels)
     cond_edges = [(s, d) for s, d, _ in rep.dag_arcs
@@ -341,10 +344,10 @@ def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
 
     n_v = len(ball.vertices)
     n_e = len(ball.arcs)
-    b1 = SparseIntMatrix(n_v, n_e)
+    b1 = {}                 # a loop's -1 lands on its +1: a zero column
     for k, (s, d, _a) in enumerate(ball.arcs):
-        b1.add_at(d, k, 1)
-        b1.add_at(s, k, -1)
+        b1[d, k] = 1
+        b1[s, k] = b1.get((s, k), 0) - 1
 
     cells = []
     skipped = []
@@ -369,13 +372,14 @@ def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
                     f"relator loop at vertex {v} does not close")
             cells.append((v, path))
 
-    b2 = SparseIntMatrix(n_e, len(cells))
+    b2 = {}
     for ci, (_v, path) in enumerate(cells):
         for k in path:
-            b2.add_at(k, ci, 1)
+            b2[k, ci] = b2.get((k, ci), 0) + 1
 
     aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
-    return ChainComplexExport(b1, b2, aug,
+    return ChainComplexExport(SparseIntMatrix(n_v, n_e, b1),
+                              SparseIntMatrix(n_e, len(cells), b2), aug,
                               [v for v, _ in cells], skipped)
 
 
@@ -402,7 +406,7 @@ def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
             reached[d] = True
     if not all(reached):
         raise CayleyError("a vertex of the ball has no arc into it")
-    d2 = SparseIntMatrix(len(row), export.boundary2.cols)
-    d2.entries = {(row[k], c): v for (k, c), v in
-                  export.boundary2.entries.items() if k in row}
+    d2 = SparseIntMatrix(len(row), export.boundary2.cols, {
+        (row[k], c): v for (k, c), v in export.boundary2.entries.items()
+        if k in row})
     return SparseIntMatrix(1, len(row)), d2

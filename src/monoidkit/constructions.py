@@ -29,7 +29,6 @@ from .words import (
 )
 from .rewriting import (
     DEFAULT_BUDGET,
-    RewriteSystem,
     equal_words,
     knuth_bendix,
     normalize,
@@ -502,11 +501,12 @@ class BassSerreGraph:
         """Boundary ZE -> ZV of the interior subgraph: edge -> head - tail."""
         vmap = {v: i for i, v in enumerate(self.interior_vertex_ids())}
         eids = self.interior_edge_ids()
-        m = SparseIntMatrix(len(vmap), len(eids))
+        m = {}              # a loop's -1 lands on its +1: a zero column
         for col, e in enumerate(eids):
-            m.add_at(vmap[self.head[e]], col, 1)
-            m.add_at(vmap[self.tail[e]], col, -1)
-        return m
+            m[vmap[self.head[e]], col] = 1
+            tail = vmap[self.tail[e]], col
+            m[tail] = m.get(tail, 0) - 1
+        return SparseIntMatrix(len(vmap), len(eids), m)
 
     def forest_by_search(self) -> bool:
         """Undirected acyclicity of the interior subgraph via union-find."""
@@ -631,10 +631,8 @@ def _balls(build, ctx, radius, budget_limit, margin):
 
 @dataclass
 class AmalgamContext:
-    spec: AmalgamSpec
     presentation: Presentation
     solver: object
-    system: RewriteSystem
     m1_letters: tuple
     m2_letters: tuple
     w_images: tuple         # generators of the image of W inside L
@@ -644,13 +642,12 @@ def amalgam_context(spec: AmalgamSpec,
                     budget_limit=DEFAULT_BUDGET) -> AmalgamContext:
     pres = amalgam_presentation(spec, budget_limit)
     _, map1, map2 = _disjoint_union(spec.m1, spec.m2)
-    solver, system = completed_solver(pres, budget_limit)
+    solver, _ = completed_solver(pres, budget_limit)
     w_images = tuple(
         tuple(map1[a] for a in spec.f1[x])
         for x in spec.w.alphabet.letters)
-    return AmalgamContext(
-        spec, pres, solver, system,
-        tuple(map1.values()), tuple(map2.values()), w_images)
+    return AmalgamContext(pres, solver, tuple(map1.values()),
+                          tuple(map2.values()), w_images)
 
 
 def bass_serre_ball_amalgam(ctx: AmalgamContext, radius: int,
@@ -671,15 +668,14 @@ class OPBallContext:
     spec: OttoPrideSpec
     presentation: Presentation
     solver: object
-    system: RewriteSystem
     a_images: tuple
 
 
 def op_context(spec: OttoPrideSpec,
                budget_limit=DEFAULT_BUDGET) -> OPBallContext:
     pres = otto_pride_presentation(spec)
-    solver, system = completed_solver(pres, budget_limit)
-    return OPBallContext(spec, pres, solver, system,
+    solver, _ = completed_solver(pres, budget_limit)
+    return OPBallContext(spec, pres, solver,
                          tuple(tuple(g) for g in spec.a_gens))
 
 

@@ -14,7 +14,6 @@ arbitrary-precision integers; nothing here can overflow or round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd
 
@@ -28,30 +27,18 @@ class CompositeNotZeroError(HomologyError):
 
 
 class SparseIntMatrix:
-    """Integer matrix stored as a (row, col) -> value map of non-zeros."""
+    """Integer matrix stored as a (row, col) -> value map of non-zeros,
+    built once from its finished entries and never written afterwards."""
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (r, c), v in dict(entries).items():
-                self[r, c] = v
-
-    def __getitem__(self, rc):
-        return self.entries.get(rc, 0)
-
-    def __setitem__(self, rc, v):
-        r, c = rc
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError(rc)
-        if v == 0:
-            self.entries.pop(rc, None)
-        else:
-            self.entries[rc] = int(v)
-
-    def add_at(self, r, c, v):
-        self[r, c] = self[r, c] + v
+        entries = entries or {}
+        for r, c in entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError((r, c))
+        self.entries: dict[tuple[int, int], int] = {
+            rc: int(v) for rc, v in entries.items() if v}
 
     def __eq__(self, other):
         return (isinstance(other, SparseIntMatrix)
@@ -68,16 +55,10 @@ class SparseIntMatrix:
         for (r, c), v in self.entries.items():
             for k, u in by_row.get(c, ()):
                 sums[r, k] = sums.get((r, k), 0) + v * u
-        out = SparseIntMatrix(self.rows, other.cols)
-        out.entries = {rk: v for rk, v in sums.items() if v}
-        return out
+        return SparseIntMatrix(self.rows, other.cols, sums)
 
     def is_zero(self):
         return not self.entries
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def to_triplets(self) -> str:
         """Coordinate text format: header 'rows cols nnz', then 'r c v' lines."""
@@ -85,15 +66,6 @@ class SparseIntMatrix:
         for (r, c) in sorted(self.entries):
             lines.append(f"{r} {c} {self.entries[r, c]}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class SmithForm:
-    diag: tuple[int, ...]  # invariant factors d1 | d2 | ...
-    rank: int
-
-    def torsion(self):
-        return tuple(d for d in self.diag if d > 1)
 
 
 def _eliminate(m: SparseIntMatrix, _record=False):
@@ -105,8 +77,7 @@ def _eliminate(m: SparseIntMatrix, _record=False):
     operations and its row by column operations, and picks again if a
     remainder is left.  An isolated pivot that does not divide every other
     entry gets the offending row added to its own row and is cleared again.
-    Unit pivots come first, so tree edges of a Cayley complex contract
-    without a separate collapse.  Returns the invariant factors
+    Unit pivots come first.  Returns the invariant factors
     d1 | d2 | ..., the pivot columns and, with _record, the column
     transform T (a dict of sparse columns) such that U @ m @ T is the
     reduced matrix for some unimodular U.
@@ -223,10 +194,9 @@ def kernel_vector(m: SparseIntMatrix):
     return [x // g for x in v]
 
 
-def smith_normal_form(m: SparseIntMatrix) -> SmithForm:
+def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of m; the rank is their number."""
-    diag = _eliminate(m)[0]
-    return SmithForm(diag, len(diag))
+    return _eliminate(m)[0]
 
 
 def _require_zero_composites(maps):
@@ -247,10 +217,10 @@ def chain_homology(boundaries: list[SparseIntMatrix]):
     _require_zero_composites(boundaries[::-1])
     forms = [smith_normal_form(b) for b in boundaries]
     dims = [b.rows for b in boundaries] + [b.cols for b in boundaries[-1:]]
-    ranks = [0] + [f.rank for f in forms] + [0]  # out of C_i, then into it
+    ranks = [0] + [len(f) for f in forms] + [0]  # out of C_i, then into it
     return [{"degree": i, "betti": dim - ranks[i] - ranks[i + 1],
-             "torsion": list(forms[i].torsion()) if i < len(forms) else []}
-            for i, dim in enumerate(dims)]
+             "torsion": [d for d in forms[i] if d > 1] if i < len(forms)
+             else []} for i, dim in enumerate(dims)]
 
 
 def exactness_check(homology, last, augmentation=None):

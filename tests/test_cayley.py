@@ -425,10 +425,10 @@ def bfs_complexes(draw):
                 queue.append(u)
             arcs.append((ids[v], ids[u], "a"))
     n_v, n_e = len(depth), len(arcs)
-    b1 = SparseIntMatrix(n_v, n_e)
+    b1 = {}
     for k, (s, d, _) in enumerate(arcs):
-        b1.add_at(d, k, 1)
-        b1.add_at(s, k, -1)
+        b1[d, k] = 1
+        b1[s, k] = b1.get((s, k), 0) - 1
     # the tree path from the root to each vertex, as arc ids
     path = [[] for _ in range(n_v)]
     seen = {0}
@@ -450,15 +450,17 @@ def bfs_complexes(draw):
         st.integers(0, max(len(cycles) - 1, 0)),
         st.sampled_from([1, -1, 2, -2, 3])), max_size=3), max_size=4)
         if cycles else st.just([]))
-    b2 = SparseIntMatrix(n_e, len(cells))
+    b2 = {}
     for c, terms in enumerate(cells):
         for i, f in terms:
             for k, v in cycles[i].items():
-                b2.add_at(k, c, f * v)
+                b2[k, c] = b2.get((k, c), 0) + f * v
     ball = LabeledDigraph(FREE.alphabet, [()] * n_v, arcs, [True] * n_v,
                           depth, max(depth), 0)
     aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
-    return ball, ChainComplexExport(b1, b2, aug, [], [])
+    return ball, ChainComplexExport(SparseIntMatrix(n_v, n_e, b1),
+                                    SparseIntMatrix(n_e, len(cells), b2),
+                                    aug, [], [])
 
 
 @settings(max_examples=300, deadline=None)

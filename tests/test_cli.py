@@ -1,4 +1,6 @@
+import argparse
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -272,6 +274,47 @@ def test_check_tree_pass(capsys, bicyclic_file):
     assert data["condensation_matches_hasse"]
 
 
+@pytest.mark.parametrize("relator", ["a b", "a b a b"])
+def test_check_tree_at_radius_0(capsys, tmp_path, relator):
+    # the root is the only vertex and lies at depth == radius, so no
+    # component is interior and the condensation has nothing to compare
+    f = tmp_path / "p.txt"
+    f.write_text(f"letters: a b\nrel: {relator} = 1\n")
+    code, data = run_json(capsys, "check-tree", "--presentation", str(f),
+                          "--radius", "0")
+    assert code == 0
+    assert data["is_tree"] == {"edges": [], "verdict": "unknown"}
+    assert data["condensation_matches_hasse"] is None
+
+
+@pytest.mark.parametrize("radius", [2, 4])
+def test_verdicts_do_not_depend_on_the_order(capsys, tmp_path, radius):
+    # shortlex order picks the normal forms and so the vertex numbering,
+    # never the monoid: every a-initial relator over a, b of length 1 to 5
+    # (abba, aabba, abbaa and abbba do not complete within the budget and
+    # exit 3)
+    def answers(order):
+        got = {}
+        for command in ("check-tree", "condense", "homology"):
+            code, out = run(capsys, command, "--presentation", str(f),
+                            "--radius", str(radius), "--budget", "3000",
+                            "--order", order)
+            got[command] = code, out and json.loads(out)
+        if got["check-tree"][0] == 3:
+            return got
+        tree, cond = got["check-tree"][1], got["condense"][1]
+        return (tree["is_tree"]["verdict"], len(tree["is_tree"]["edges"]),
+                sorted(map(len, cond["sccs"])), len(cond["dag_arcs"]),
+                got["homology"])
+
+    f = tmp_path / "p.txt"
+    for n in range(1, 6):
+        for tail in itertools.product("ab", repeat=n - 1):
+            f.write_text(f"letters: a b\nrel: {' '.join('a' + ''.join(tail))}"
+                         " = 1\n")
+            assert answers("a,b") == answers("b,a"), (tail, radius)
+
+
 def test_condense_claims_no_entrance_check(capsys, grid_file):
     # condense does not run the unique-entrance check, so its artifact has
     # no entrance_violations; check-tree runs it and finds the grid's
@@ -443,6 +486,22 @@ def test_chain(capsys, bicyclic_file):
                           "--radius", "3")
     assert code == 0
     assert data["composite_zero"]
+
+
+def test_chain_loop_arcs_have_zero_columns(capsys, tmp_path):
+    # in <a, b | b = 1> every b arc is a loop, whose -1 and +1 cancel
+    f = tmp_path / "p.txt"
+    f.write_text("letters: a b\nrel: b = 1\n")
+    code, data = run_json(capsys, "chain", "--presentation", str(f),
+                          "--radius", "3")
+    assert code == 0 and data["composite_zero"]
+    g = cli._ball_from_args(argparse.Namespace(budget=10**6, radius=3),
+                            cli._load_presentation(str(f), None))
+    loops = {k for k, (s, d, a) in enumerate(g.arcs) if a == "b"}
+    assert loops and all(g.arcs[k][0] == g.arcs[k][1] for k in loops)
+    used = {int(ln.split()[1])
+            for ln in data["boundary1"].splitlines()[1:]}
+    assert used == set(range(len(g.arcs))) - loops
 
 
 def test_chain_composite_zero_is_computed(capsys, bicyclic_file,

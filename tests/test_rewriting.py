@@ -418,6 +418,25 @@ def test_ball_with_parents_matches_per_match_oracle(case, max_len, limit):
             == _ball_outcome(oracle_ball_with_parents, p, word, max_len, limit))
 
 
+class CountingBudget(Budget):
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.calls = 0
+
+    def spend(self, n=1):
+        self.calls += 1
+        return super().spend(n)
+
+
+def test_ball_with_parents_charges_each_word_once():
+    # the unit ball of ababbab at cap 14: 25 words, whose 365 matches are
+    # paid by 25 charges; a charge per match would make 365
+    p = parse_presentation("letters: a b\nrel: a b a b b a b = 1")
+    budget = CountingBudget(10**6)
+    parents = _ball_with_parents(p, EMPTY, 14, budget)
+    assert (len(parents), budget.calls, budget.spent) == (25, 25, 365)
+
+
 @st.composite
 def raw_systems(draw):
     """Oriented raw rule lists over 2 or 3 letters, left sides of length 1
