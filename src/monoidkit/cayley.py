@@ -332,7 +332,7 @@ class ChainComplexExport:
 def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
     """Fill in one 2-cell per vertex whose relator-labeled loop closes
     inside the ball; export the integer boundary maps.  A cell's boundary
-    is a closed edge path, so boundary1 @ boundary2 = 0 with no check.
+    is a closed edge path, so boundary1 boundary2 = 0 with no check.
 
     Requires at most one relator (none for a free monoid, which gets an
     empty degree-2 part)."""
@@ -384,17 +384,22 @@ def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
 
 
 def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
-    """(d1, d2) of the complex with the ball's BFS tree contracted, which
-    has export's homology; export's maps must compose to zero.  Pairing
-    each non-root vertex with its first in-arc, from the level above, is an
-    acyclic matching (Forman; Skoldberg): parent chains lower depth.  No
-    arc is paired with a 2-cell, so d2 is boundary2 on the other arcs, in
-    arc order; a path from such an arc meets the root with +1 and -1, so
-    d1 = 0 and degree 0 keeps Betti number 1 and no torsion.  The cycles of
-    Z^E project isomorphically onto the other arcs and Z^E / im boundary2
-    is H1 plus a free part: d2 has boundary2's rank and factors above 1."""
-    if not (export.boundary1 @ export.boundary2).is_zero():
-        raise CompositeNotZeroError("boundary1 @ boundary2 is not zero")
+    """(e, d1, d2): the augmented complex with the ball's BFS tree
+    contracted, of export's homology and defects; export's maps must
+    compose to zero.  Pairing each non-root vertex with its first in-arc,
+    from the level above, is an acyclic matching (Forman; Skoldberg):
+    parent chains lower depth.  No arc is paired with a 2-cell, so d2 is
+    boundary2 on the other arcs, in arc order; a path from such an arc meets
+    the root with +1 and -1, so d1 = 0 and degree 0 keeps Betti number 1
+    and no torsion.  The cycles of Z^E project isomorphically onto the other
+    arcs and Z^E / im boundary2 is H1 plus a free part: d2 has boundary2's
+    rank and factors above 1.  The matching sends each vertex to the root
+    along tree arcs, where the augmentation is constant as it kills
+    boundary1; so e is its column at the root, [1] for the all-ones map."""
+    if not export.boundary1.composes_to_zero(export.boundary2):
+        raise CompositeNotZeroError("boundary1 boundary2 is not zero")
+    if not export.augmentation.composes_to_zero(export.boundary1):
+        raise CompositeNotZeroError("augmentation boundary1 is not zero")
     reached = [True] + [False] * (len(ball.vertices) - 1)  # root: no arc
     row = {}                # non-tree arc -> its row of d2
     for k, (s, d, _a) in enumerate(ball.arcs):
@@ -409,4 +414,7 @@ def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
     d2 = SparseIntMatrix(len(row), export.boundary2.cols, {
         (row[k], c): v for (k, c), v in export.boundary2.entries.items()
         if k in row})
-    return SparseIntMatrix(1, len(row)), d2
+    aug = export.augmentation
+    e = SparseIntMatrix(aug.rows, 1, {
+        (r, 0): v for (r, c), v in aug.entries.items() if c == 0})
+    return e, SparseIntMatrix(1, len(row)), d2

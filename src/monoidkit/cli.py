@@ -33,6 +33,7 @@ from .rewriting import (
     BudgetExhausted,
     RewritingError,
     equal_words,
+    extension_solver,
     knuth_bendix,
     normalize,
     orient_system,
@@ -350,12 +351,10 @@ def cmd_analyze_special(args):
 
 
 def _ball_from_args(args, p, margin=None):
-    # one call per word, so no memo; every redex ends at the last letter
-    _, system = completed_solver(p, args.budget)
+    # one call per word, so no memo; only arcs with an lhs suffix rewrite
+    solver = extension_solver(completed_solver(p, args.budget)[1])
     margin = margin if margin is not None else longest_side(p)
-    return cayley_ball(lambda w: normalize(
-        system, w, start=max(0, len(w) - system._index.longest)),
-        p.alphabet, args.radius, margin)
+    return cayley_ball(solver, p.alphabet, args.radius, margin)
 
 
 def cmd_cayley(args):
@@ -465,7 +464,8 @@ def cmd_chain(args):
         "augmentation": export.augmentation.to_triplets(),
         "cell_base_vertices": list(export.cell_base_vertices),
         "skipped": export.skipped,
-        "composite_zero": (export.boundary1 @ export.boundary2).is_zero(),
+        "composite_zero": export.boundary1.composes_to_zero(
+            export.boundary2),
     })
     return EXIT_OK
 
@@ -474,8 +474,9 @@ def cmd_homology(args):
     sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
     export = cayley_complex_chain(sp, g)
-    homology = chain_homology(list(contract_tree(g, export)))
-    exact = exactness_check(homology, export.boundary1, export.augmentation)
+    augmentation, d1, d2 = contract_tree(g, export)
+    homology = chain_homology([d1, d2])
+    exact = exactness_check(homology, d1, augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})
     if exact["total_defect"] != 0:
         return EXIT_VERIFY

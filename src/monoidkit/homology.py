@@ -45,20 +45,22 @@ class SparseIntMatrix:
                 and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 
-    def __matmul__(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
+    def composes_to_zero(self, other: "SparseIntMatrix") -> bool:
+        """Whether the product of self and other is zero: its entries summed
+        exactly by the columns of self, with no result matrix built."""
         if self.cols != other.rows:
             raise HomologyError("dimension mismatch in product")
-        by_row = {}
-        for (r, k), v in other.entries.items():
-            by_row.setdefault(r, []).append((k, v))
-        sums = {}
+        if not (self.entries and other.entries):
+            return True
+        n = other.cols      # entry (r, k) of the product is summed at r n + k
+        by_col = {}
         for (r, c), v in self.entries.items():
-            for k, u in by_row.get(c, ()):
-                sums[r, k] = sums.get((r, k), 0) + v * u
-        return SparseIntMatrix(self.rows, other.cols, sums)
-
-    def is_zero(self):
-        return not self.entries
+            by_col.setdefault(c, []).append((r * n, v))
+        sums = {}
+        for (c, k), u in other.entries.items():
+            for rn, v in by_col.get(c, ()):
+                sums[rn + k] = sums.get(rn + k, 0) + v * u
+        return not any(sums.values())
 
     def to_triplets(self) -> str:
         """Coordinate text format: header 'rows cols nnz', then 'r c v' lines."""
@@ -79,7 +81,7 @@ def _eliminate(m: SparseIntMatrix, _record=False):
     entry gets the offending row added to its own row and is cleared again.
     Unit pivots come first.  Returns the invariant factors
     d1 | d2 | ..., the pivot columns and, with _record, the column
-    transform T (a dict of sparse columns) such that U @ m @ T is the
+    transform T (a dict of sparse columns) such that the product U m T is the
     reduced matrix for some unimodular U.
 
     Pivots come from a lazy min-heap of keys (|v|, cost, row, col).  An
@@ -180,7 +182,7 @@ def rank_exact(m: SparseIntMatrix) -> int:
 
 
 def kernel_vector(m: SparseIntMatrix):
-    """An integer vector v != 0 with m @ v = 0 and gcd 1, or None if m is
+    """An integer vector v != 0 with m v = 0 and gcd 1, or None if m is
     injective: the first non-pivot column of the column transform."""
     _, pivot_cols, transform = _eliminate(m, _record=True)
     free = set(range(m.cols)).difference(pivot_cols)
@@ -202,7 +204,7 @@ def smith_normal_form(m: SparseIntMatrix) -> tuple[int, ...]:
 def _require_zero_composites(maps):
     """maps run from the top degree down; each composite must vanish."""
     for upper, lower in zip(maps, maps[1:]):
-        if not (lower @ upper).is_zero():
+        if not lower.composes_to_zero(upper):
             raise CompositeNotZeroError(
                 "consecutive maps do not compose to zero")
 

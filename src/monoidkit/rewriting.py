@@ -269,6 +269,34 @@ def normalize(s: RewriteSystem, w: Word, budget: Budget = None,
     return _rewrite(s._index, w, budget, trace, pos=start)
 
 
+def extension_solver(s: RewriteSystem):
+    """w -> normalize(s, w) for a w whose prefix w[:-1] is irreducible, as
+    a Cayley ball's vertex times a letter.  A redex of w ends at its last
+    letter or lies in that prefix, which has none: so w is irreducible, and
+    on a complete s its own normal form, iff no lhs is a suffix of it.  A
+    trie of the reversed left sides, built once and walked from the last
+    letter, tests this; only a w with an lhs suffix is rewritten."""
+    s.require_oriented()
+    trie = {}               # letter -> child; None -> True at an lhs end
+    for rule in s.rules:
+        node = trie
+        for a in reversed(rule.lhs):
+            node = node.setdefault(a, {})
+        node[None] = True
+
+    def solve(w: Word) -> Word:
+        node = trie
+        for a in reversed(w):
+            node = node.get(a)
+            if node is None:
+                return w
+            if None in node:
+                return normalize(s, w, start=max(0, len(w) - s._index.longest))
+        return w
+
+    return solve
+
+
 def critical_pairs(s: RewriteSystem):
     """All overlap and containment critical pairs, one-step reduced both ways,
     generated by rule_i, then rule_j, then position.

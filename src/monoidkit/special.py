@@ -380,6 +380,11 @@ def compute_I_I0(ua: UnitsAnalysis):
     alphabet = ua.sp.alphabet
     I = {d[:k] for d in ua.delta for k in range(1, len(d) + 1)}
     ua.I = tuple(sorted(I, key=alphabet.shortlex_key))
+    ua._prefixes = {}       # the trie of delta: a node per word of I
+    for d in ua.delta:
+        node = ua._prefixes
+        for a in d:
+            node = node.setdefault(a, {})
 
     def in_I_star_square(w):
         return any(w[:k] in I and w[k:] in I for k in range(1, len(w)))
@@ -475,14 +480,16 @@ def transversal_factor(ua: UnitsAnalysis, v: Word) -> TransversalFactorization:
     I*; then w has no suffix in I."""
     if normalize_special(ua, v) != v:
         raise NotIrreducibleError(format_word(v))
-    I = set(ua.I)
-    longest = max(map(len, I), default=0)
     n = len(v)
     in_istar = [False] * (n + 1)
     in_istar[n] = True
     for i in range(n - 1, -1, -1):
-        in_istar[i] = any(
-            in_istar[j] and v[i:j] in I
-            for j in range(i + 1, min(n, i + longest) + 1))
+        # I is prefix-closed: the walk stops at the first v[i:j + 1] not in I
+        node = ua._prefixes
+        for j in range(i, n):
+            node = node.get(v[j])
+            if node is None or in_istar[j + 1]:
+                in_istar[i] = node is not None
+                break
     cut = next(i for i in range(n + 1) if in_istar[i])
     return TransversalFactorization(v[:cut], v[cut:])

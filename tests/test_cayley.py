@@ -36,6 +36,8 @@ from monoidkit.homology import (
     exactness_check,
 )
 
+from test_homology import matmul
+
 
 def w(s):
     return tuple(s)
@@ -320,16 +322,16 @@ def test_ahu_code_rejects_cycles():
 def test_chain_export_bicyclic():
     g = ball_for(BICYCLIC, 3)
     export = cayley_complex_chain(BICYCLIC, g)
-    assert (export.boundary1 @ export.boundary2).is_zero()
+    assert not matmul(export.boundary1, export.boundary2).entries
     # cells sit at vertices whose ab-loop closes inside the ball
     assert len(export.cell_base_vertices) > 0
-    assert (export.augmentation @ export.boundary1).is_zero()
+    assert not matmul(export.augmentation, export.boundary1).entries
 
 
 def test_chain_export_involution():
     g = ball_for(INVOLUTION, 3)
     export = cayley_complex_chain(INVOLUTION, g)
-    assert (export.boundary1 @ export.boundary2).is_zero()
+    assert not matmul(export.boundary1, export.boundary2).entries
     assert len(export.cell_base_vertices) == 2
     assert export.skipped == []
 
@@ -457,7 +459,11 @@ def bfs_complexes(draw):
                 b2[k, c] = b2.get((k, c), 0) + f * v
     ball = LabeledDigraph(FREE.alphabet, [()] * n_v, arcs, [True] * n_v,
                           depth, max(depth), 0)
-    aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
+    # each row of an augmentation that kills boundary1 is constant
+    levels = draw(st.lists(st.sampled_from([1, -1, 2]), min_size=1,
+                           max_size=2))
+    aug = SparseIntMatrix(len(levels), n_v, {
+        (r, i): c for r, c in enumerate(levels) for i in range(n_v)})
     return ball, ChainComplexExport(SparseIntMatrix(n_v, n_e, b1),
                                     SparseIntMatrix(n_e, len(cells), b2),
                                     aug, [], [])
@@ -470,16 +476,23 @@ def bfs_complexes(draw):
           ChainComplexExport(
               SparseIntMatrix(2, 2, {(0, 0): -1, (1, 0): 1,
                                      (0, 1): -1, (1, 1): 1}),
-              SparseIntMatrix(2, 1, {(0, 0): 2, (1, 0): -2}), None, [], [])))
+              SparseIntMatrix(2, 1, {(0, 0): 2, (1, 0): -2}),
+              SparseIntMatrix(1, 2, {(0, 0): 1, (0, 1): 1}), [], [])))
 def test_contracted_tree_keeps_homology(case):
     """Contracting the BFS tree keeps every Betti number and torsion
-    coefficient; the example has H1 = Z/2."""
+    coefficient, and with the augmentation contracted to its column at the
+    root, every exactness defect; the example has H1 = Z/2."""
     ball, export = case
-    d1, d2 = contract_tree(ball, export)
+    b1, b2, aug = export.boundary1, export.boundary2, export.augmentation
+    e, d1, d2 = contract_tree(ball, export)
     n_free = len(ball.arcs) - len(ball.vertices) + 1
-    assert (d1.rows, d1.cols, d2.rows) == (1, n_free, n_free) and d1.is_zero()
-    assert (chain_homology([d1, d2])
-            == chain_homology([export.boundary1, export.boundary2]))
+    assert (d1.rows, d1.cols, d2.rows) == (1, n_free, n_free)
+    assert not d1.entries
+    assert e == SparseIntMatrix(aug.rows, 1, {
+        (r, 0): v for (r, c), v in aug.entries.items() if c == 0})
+    assert chain_homology([d1, d2]) == chain_homology([b1, b2])
+    assert (exactness_check(chain_homology([d1, d2]), d1, e)
+            == exactness_check(chain_homology([b1, b2]), b1, aug))
 
 
 def test_contract_tree_needs_a_bfs_tree_and_a_complex():
@@ -497,3 +510,17 @@ def test_contract_tree_needs_a_bfs_tree_and_a_complex():
         export.boundary2.rows, 1, {(0, 0): 1}))
     with pytest.raises(CompositeNotZeroError):
         contract_tree(g, open_cell)
+
+
+def test_contract_tree_checks_the_augmentation():
+    # a boundary1 column that sums to 1 is no arc's boundary; the free
+    # monoid has no 2-cells, so only the augmentation's composite sees it
+    g = ball_for(FREE, 2)
+    export = cayley_complex_chain(FREE, g)
+    b1 = export.boundary1
+    assert contract_tree(g, export)[0] == SparseIntMatrix(1, 1, {(0, 0): 1})
+    bad = dataclasses.replace(export, boundary1=SparseIntMatrix(
+        b1.rows, b1.cols, {**b1.entries, (g.arcs[0][1], 0): 2}))
+    assert bad.boundary1.composes_to_zero(bad.boundary2)
+    with pytest.raises(CompositeNotZeroError):
+        contract_tree(g, bad)

@@ -536,6 +536,27 @@ def test_homology_rejects_a_non_complex(capsys, bicyclic_file, monkeypatch):
     assert json.loads(captured.err)["error"] == "CompositeNotZeroError"
 
 
+def test_homology_rejects_an_augmentation_that_is_no_chain_map(
+        capsys, bicyclic_file, monkeypatch):
+    # a boundary1 column that sums to 1 is no arc's boundary; with no
+    # 2-cells only the augmentation's composite sees it, and the tree
+    # contraction, which needs it, checks it on the full maps
+    def bad_column(sp, g):
+        export = cayley_complex_chain(sp, g)
+        b1 = export.boundary1
+        return dataclasses.replace(
+            export, boundary1=SparseIntMatrix(
+                b1.rows, b1.cols, {**b1.entries, (g.arcs[0][1], 0): 2}),
+            boundary2=SparseIntMatrix(b1.cols, 0))
+
+    monkeypatch.setattr(cli, "cayley_complex_chain", bad_column)
+    code = main(["homology", "--presentation", bicyclic_file,
+                 "--radius", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"] == "CompositeNotZeroError"
+
+
 def test_homology(capsys, bicyclic_file):
     code, data = run_json(capsys, "homology", "--presentation", bicyclic_file,
                           "--radius", "6")

@@ -649,7 +649,7 @@ def test_interior_loop_edge_has_a_zero_column():
     g = BassSerreGraph("loop", 0, {}, [True, True], "E", None, [0, 1],
                        tail=[0, 1], head=[1, 1], edge_interior=[False, True])
     m = g.boundary_matrix()
-    assert (m.rows, m.cols) == (2, 1) and m.is_zero()
+    assert (m.rows, m.cols) == (2, 1) and not m.entries
     assert g.forest_by_search() is False and g.forest_by_rank() is False
 
 

@@ -36,6 +36,20 @@ def M(dense):
         (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
 
 
+def matmul(a, b):
+    """The product a b, built whole: the oracle of composes_to_zero."""
+    if a.cols != b.rows:
+        raise homology.HomologyError("dimension mismatch in product")
+    by_row = {}
+    for (r, k), v in b.entries.items():
+        by_row.setdefault(r, []).append((k, v))
+    sums = {}
+    for (r, c), v in a.entries.items():
+        for k, u in by_row.get(c, ()):
+            sums[r, k] = sums.get((r, k), 0) + v * u
+    return SparseIntMatrix(a.rows, b.cols, sums)
+
+
 @dataclass
 class InjectivityCertificate:
     rank: int
@@ -355,8 +369,8 @@ def test_matrix_roundtrip_triplets():
 def test_matrix_product_and_zero():
     a = M([[1, 2], [0, 1]])
     b = M([[1, -2], [0, 1]])
-    assert (a @ b) == M([[1, 0], [0, 1]])
-    assert (a @ SparseIntMatrix(2, 3)).is_zero()
+    assert matmul(a, b) == M([[1, 0], [0, 1]])
+    assert not matmul(a, SparseIntMatrix(2, 3)).entries
 
 
 def test_rank_examples():
@@ -503,7 +517,7 @@ def test_elimination_core_matches_dense_oracles(m):
         g = gcd(g, x)
     assert g == 1
     column = SparseIntMatrix(m.cols, 1, {(i, 0): x for i, x in enumerate(v)})
-    assert (m @ column).is_zero()
+    assert not matmul(m, column).entries
 
 
 def _cayley_boundaries(relator, radius):
@@ -574,7 +588,7 @@ def test_homology_artifact_unchanged_by_tree_contraction(
     contracted_rc = main(argv)
     contracted_out = capsys.readouterr().out
     monkeypatch.setattr(cli, "contract_tree", lambda ball, export: (
-        export.boundary1, export.boundary2))
+        export.augmentation, export.boundary1, export.boundary2))
     assert main(argv) == contracted_rc
     assert capsys.readouterr().out == contracted_out
 
@@ -685,12 +699,14 @@ def test_homology_artifact_matches_oracle(relator, radius):
 
 def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
     """One round of the cayley-homology benchmark workload, seed 1: 22
-    homology and 22 chain jobs.  Each job multiplies boundary1 @ boundary2
-    once and each homology job also the augmentation's composite (66
-    products whose left map has entries), and chain_homology the composite
-    of the contracted complex, whose left map has none (22 more); each
-    homology job takes the Smith forms of its two contracted boundaries
-    (44) and the rank of its augmentation (22)."""
+    homology and 22 chain jobs.  Each job checks that boundary1 composes
+    with boundary2 to zero, and each homology job also the augmentation's
+    composite with boundary1 (66 checks that sum entries), then the
+    composites of the contracted complex, chain_homology's and
+    exactness_check's, whose d1 has no entry (44 more, answered at once);
+    each homology job takes the Smith forms of its two contracted
+    boundaries (44) and the rank of its contracted augmentation, a 1 x 1
+    map (22)."""
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
     import workloads
@@ -699,24 +715,68 @@ def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
     calls = collections.Counter()
 
     def counted(name, f):
-        def wrapper(*args):
+        def wrapper(m):
             calls[name] += 1
-            return f(*args)
+            if name == "rank_exact":
+                calls[name, m.rows, m.cols] += 1
+            return f(m)
         return wrapper
 
-    matmul = SparseIntMatrix.__matmul__
+    composes = SparseIntMatrix.composes_to_zero
 
-    def counted_matmul(left, right):
-        calls["matmul"] += 1
-        calls["matmul_left_entries"] += bool(left.entries)
-        return matmul(left, right)
+    def counted_composes(left, right):
+        calls["composes"] += 1
+        calls["composes_summed"] += bool(left.entries and right.entries)
+        return composes(left, right)
 
-    monkeypatch.setattr(SparseIntMatrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(SparseIntMatrix, "composes_to_zero", counted_composes)
     for name in ("smith_normal_form", "rank_exact"):
         monkeypatch.setattr(homology, name,
                             counted(name, getattr(homology, name)))
     for job in jobs:
         assert job.run()[0] == 0
     assert len(jobs) == 44
-    assert calls == {"matmul": 88, "matmul_left_entries": 66,
-                     "smith_normal_form": 44, "rank_exact": 22}
+    assert calls == {"composes": 110, "composes_summed": 66,
+                     "smith_normal_form": 44, "rank_exact": 22,
+                     ("rank_exact", 1, 1): 22}
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) of shapes r x n and n x c: two consecutive maps of a random
+    complex, which compose to zero, or two random matrices with entries in
+    -2..2, whose product is mostly not zero."""
+    if draw(st.booleans()):
+        seq = draw(chain_complexes())[0]     # from the top degree down
+        if len(seq) > 1:
+            i = draw(st.integers(0, len(seq) - 2))
+            return seq[i + 1], seq[i]
+
+    def matrix(rows, cols):
+        return SparseIntMatrix(rows, cols, draw(st.dictionaries(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            st.integers(-2, 2), max_size=6)) if rows and cols else {})
+
+    r, n, c = (draw(st.integers(0, 3)) for _ in range(3))
+    return matrix(r, n), matrix(n, c)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_pairs())
+@example((M([[1, 1]]), M([[1], [-1]])))     # 1 - 1: zero only in the sum
+@example((M([[1, 2], [0, 3]]), M([[2, 0], [-1, 0]])))    # one of two cancels
+def test_composes_to_zero_matches_the_product(pair):
+    """composes_to_zero answers as the product built whole; an operand
+    with no entries answers at once, and shapes that do not match raise
+    as the product does."""
+    a, b = pair
+    assert a.composes_to_zero(b) == (not matmul(a, b).entries)
+    assert SparseIntMatrix(a.rows, a.cols).composes_to_zero(b)
+    assert a.composes_to_zero(SparseIntMatrix(b.rows, b.cols))
+    for x, y in ((a, SparseIntMatrix(b.rows + 1, b.cols, b.entries)),
+                 (SparseIntMatrix(a.rows, a.cols + 1, a.entries), b),
+                 (SparseIntMatrix(a.rows, a.cols + 1), b)):
+        with pytest.raises(homology.HomologyError):
+            matmul(x, y)
+        with pytest.raises(homology.HomologyError):
+            x.composes_to_zero(y)

@@ -20,6 +20,7 @@ from monoidkit.rewriting import (
     _rule,
     critical_pairs,
     equal_words,
+    extension_solver,
     knuth_bendix,
     normalize,
     orient_system,
@@ -697,6 +698,67 @@ def test_one_trie_per_cayley_homology_job(tmp_path, monkeypatch):
         assert job.run()[0] == 0
     assert len(jobs) == 44
     assert len(builds) == 44
+
+
+def _arcs_of_ball(s, radius):
+    """Each vertex u (a normal form) of the normal-form ball of the given
+    radius times each letter a, as u + (a,)."""
+    level, seen = [EMPTY], {EMPTY}
+    for _ in range(radius):
+        words = [u + (a,) for u in level for a in s.alphabet.letters]
+        yield from words
+        level = [v for v in dict.fromkeys(normalize(s, x) for x in words)
+                 if v not in seen]
+        seen.update(level)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(words_over("ab", 0, 4), words_over("ab", 0, 4)),
+                min_size=1, max_size=2), st.integers(1, 4))
+# completion adds a rule whose lhs is longer than every relation side
+@example([(w("baa"), w("aa")), (w("bba"), w("bbb"))], 4)
+@example([(w("abb"), w("a")), (w("bab"), w("aba"))], 4)
+def test_extension_solver_matches_normalize_on_complete_systems(
+        relations, radius):
+    p = Presentation(Alphabet(("a", "b")), tuple(relations))
+    result = knuth_bendix(orient_system(p), 2000)
+    assume(result.completed)
+    solve = extension_solver(result.system)
+    for x in _arcs_of_ball(result.system, radius):
+        assert solve(x) == normalize(result.system, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_systems(), st.integers(1, 3))
+# b is an lhs and a suffix of the lhs a b: the walk passes its end
+@example(raw("ab", ("ab", "a"), ("b", "")), 2)
+def test_extension_solver_matches_normalize_on_raw_systems(s, radius):
+    """On any oriented system, also one whose left sides are suffixes of
+    one another, the arc's answer is normalize's."""
+    solve = extension_solver(s)
+    for x in _arcs_of_ball(s, radius):
+        assert solve(x) == normalize(s, x)
+
+
+def test_extension_solver_rewrites_only_reducible_arcs(monkeypatch):
+    """The arcs of the bicyclic ball of radius 6: only those with the lhs
+    b a as suffix reach normalize, each once, from two letters before the
+    end; the others are their own normal forms."""
+    s = knuth_bendix(orient_system(BICYCLIC)).system
+    calls = []
+    real = rewriting.normalize
+
+    def counted(system, word, start=0):
+        calls.append((word, start))
+        return real(system, word, start=start)
+
+    solve = extension_solver(s)
+    arcs = list(_arcs_of_ball(s, 6))
+    monkeypatch.setattr(rewriting, "normalize", counted)
+    assert [solve(x) for x in arcs] == [real(s, x) for x in arcs]
+    reducible = [x for x in arcs if real(s, x) != x]
+    assert calls == [(x, len(x) - 2) for x in reducible]
+    assert 0 < len(reducible) < len(arcs)
 
 
 def rejoining_knuth_bendix(s, budget_limit=10**6):
