@@ -12,6 +12,7 @@ certificates carry the radius they were computed at.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import chain, repeat
@@ -216,6 +217,9 @@ class OPContext:
                             _phi_images(self.a_gens, spec.phi)))
         self._longest_gen = max((len(g) for g in self.a_gens), default=0)
         self._factor_tables = {}
+        self._factor_memo = cache(self._factor_entry)
+        # phi(g1 ... gk) = phi(g1) ... phi(gk), per generator sequence
+        self.carry = cache(lambda gens: sum(map(self.phi.get, gens), EMPTY))
 
     def a_elements(self, max_len: int):
         """Normal forms of A-elements up to max_len with one generator
@@ -255,16 +259,21 @@ class OPContext:
         self._factor_tables[max_len] = table
         return table
 
+    def _factor_entry(self, m_word: Word):
+        """factor's answer for m_word: its factorization, or the text of
+        the failure.  It depends only on nf_m(m_word), so factor keeps it
+        per word."""
+        target = self.nf_m(m_word)
+        entry = self._factor_table(
+            len(target) + self._longest_gen).get(target)
+        return (f"no basis factorization of {format_word(target)}"
+                if entry is None else entry)
+
     def factor(self, m_word: Word):
         """The factorization nf(m) = c.a with c in the basis and a in A.
         Raises FactorizationFailure if no or several factorizations exist
         inside the search bound (the basis is then not free over A)."""
-        target = self.nf_m(m_word)
-        entry = self._factor_table(
-            len(target) + self._longest_gen).get(target)
-        if entry is None:
-            raise FactorizationFailure(
-                f"no basis factorization of {format_word(target)}")
+        entry = self._factor_memo(m_word)
         if isinstance(entry, str):
             raise FactorizationFailure(entry)
         return entry
@@ -273,53 +282,53 @@ class OPContext:
 def op_normal_form(ctx: OPContext, w: Word) -> OPNormalForm:
     """The unique form c0 t c1 ... t ck a: A-factors are pushed right
     through t using at = t phi(a), and each M-block is split as c.a over
-    the free basis."""
-    t = ctx.t
-    blocks = []
-    cur = []
-    for letter in w:
-        if letter == t:
-            blocks.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(letter)
-    blocks.append(tuple(cur))
-
-    cs = []
-    carry = EMPTY
-    for i, block in enumerate(blocks):
-        c, a_nf, gens = ctx.factor(carry + block)
+    the free basis.  Each block is one factor call; the carry it pushes
+    through the next t is phi of its A-factor's generators."""
+    cs, carry, start = [], EMPTY, 0
+    for _ in range(w.count(ctx.t)):
+        end = w.index(ctx.t, start)
+        c, _, gens = ctx.factor(carry + w[start:end])
         cs.append(c)
-        if i + 1 < len(blocks):
-            carry = EMPTY
-            for g in gens:
-                carry = carry + ctx.phi[g]
-        else:
-            return OPNormalForm(tuple(cs), a_nf)
+        carry, start = ctx.carry(gens), end + 1
+    c, a_nf, _ = ctx.factor(carry + w[start:])
+    return OPNormalForm((*cs, c), a_nf)
 
 
 def op_multiply(ctx: OPContext, nf1: OPNormalForm,
                 nf2: OPNormalForm) -> OPNormalForm:
-    """Tensor multiplication: the last block of nf1 (with its trail)
-    absorbs the first block of nf2, then the result is renormalized."""
-    merged = (nf1.cs[:-1]
-              + (nf1.cs[-1] + nf1.trail + nf2.cs[0],)
-              + nf2.cs[1:])
-    word = tuple(merged[0])
-    for c in merged[1:]:
-        word = word + (ctx.t,) + tuple(c)
-    return op_normal_form(ctx, word + nf2.trail)
+    """Tensor multiplication: the two words joined, so that the last block
+    of nf1 (with its trail) absorbs the first block of nf2, renormalized."""
+    return op_normal_form(ctx, nf1.to_word(ctx.t) + nf2.to_word(ctx.t))
 
 
 # ---------------------------------------------------------------------------
 # quotient balls (weak orbits) and tensor pair balls
 
 
+class _Pairs(Sequence):
+    """The pairs of a ball's n vertices V, pair i * n + j being
+    (V[i // n], V[i % n]), each read when asked for; it equals any list of
+    the same pairs."""
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+
+    def __len__(self):
+        return len(self.vertices) ** 2
+
+    def __getitem__(self, i):
+        n = len(self.vertices)
+        return self.vertices[i // n], self.vertices[i % n]
+
+    def __eq__(self, other):
+        return list(self) == other
+
+
 @dataclass
 class QuotientBall:
     side: str
     radius: int
-    elements: list          # element id -> normal-form word, or pair of them
+    elements: Sequence      # element id -> normal-form word, or pair of them
     class_of: list          # element id -> class id
     classes: list           # class id -> sorted member element ids
     partial: list           # class id -> bool
@@ -452,8 +461,8 @@ def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
                     ys.extend(map((i * n).__add__, gys[:width]))
         return zip(xs, ys)
 
-    pairs = [(x, y) for x in elements for y in elements]
-    return _quotient(side, ball, pairs, k, joins, budget_limit, pair=True)
+    return _quotient(side, ball, _Pairs(elements), k, joins, budget_limit,
+                     pair=True)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +754,7 @@ class DerivationSpec:
     resolver: object        # payload -> class id (or None)
     solver: object          # word normal form in L
     act_left: object        # (word, payload) -> payload
-    act_right: object = None  # (payload, letter) -> payload (bimodule only)
+    act_right: object = None  # (payload, word) -> payload (bimodule only)
 
 
 def _ze_add(acc, cid, coeff):
@@ -768,23 +777,25 @@ class DerivationValue:
 
 
 def derivation_eval(d: DerivationSpec, word: Word) -> DerivationValue:
-    """Fold of the derivation rule along the letters of word.
+    """The derivation rule unfolded along the letters of word.
 
     one-sided: d(ua) = d(u) + u.d(a); bimodule: d(ua) = d(u).a + u.d(a).
-    Payload terms are pushed through the appropriate actions and resolved
-    to ball class ids at the end of each step."""
+    So the letter a at position i adds the terms of d(a), each moved to
+    word[:i].d(a).word[i+1:], and the payloads are resolved to ball class
+    ids at the end.  Terms merge, and keep their places, as in the fold
+    that moves every payload so far right by each next letter: the right
+    action by a word is injective and applies to every payload alike, so
+    two terms meet in the fold exactly when their final payloads are
+    equal."""
     acc = {}
     unresolved = []
     payloads = {}           # unresolved-by-design storage: payload -> coeff
-    prefix = EMPTY
-    for letter in word:
-        if d.act_right is not None:
-            payloads = {d.act_right(p, letter): c
-                        for p, c in payloads.items()}
+    for i, letter in enumerate(word):
         for coeff, payload in d.images[letter]:
-            moved = d.act_left(prefix, payload)
+            moved = d.act_left(word[:i], payload)
+            if d.act_right is not None:
+                moved = d.act_right(moved, word[i + 1:])
             payloads[moved] = payloads.get(moved, 0) + coeff
-        prefix = prefix + (letter,)
     for payload, coeff in payloads.items():
         if coeff == 0:
             continue
@@ -830,8 +841,7 @@ def op_forest_derivation(ctx: OPBallContext,
         lambda payload: edge_ball.lookup(tuple(map(ctx.solver, payload))),
         ctx.solver,
         act_left=lambda prefix, payload: (prefix + payload[0], payload[1]),
-        act_right=lambda payload, letter: (payload[0],
-                                           payload[1] + (letter,)))
+        act_right=lambda payload, suffix: (payload[0], payload[1] + suffix))
 
 
 def check_derivation_wellformed(d: DerivationSpec, relations, samples,

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, assume, example, given, settings, strategies as st)
 
 from monoidkit.words import (
     EMPTY, Alphabet, Presentation, UnionFind, format_word, longest_side)
@@ -519,7 +521,7 @@ def test_lookup_matches_element_dict(case, data):
     for qb, outside in ((single, probes),
                         (pairs, list(zip(probes, probes[::-1])))):
         find = oracle_lookup(qb)
-        for element in qb.elements + outside:
+        for element in list(qb.elements) + outside:
             assert qb.lookup(element) == find(element)
 
 
@@ -1164,3 +1166,184 @@ def test_longest_side():
     assert graph_view(bass_serre_ball_amalgam(ctx, 3)) == graph_view(
         bass_serre_ball_amalgam(ctx, 3, margin=0))
     assert all(bass_serre_ball_amalgam(ctx, 3).vertex_interior)
+
+
+# ---------------------------------------------------------------------------
+# derivations per occurrence and normal forms per block against the loops
+# they replaced, on random amalgams and Otto-Pride extensions
+
+
+def oracle_derivation_eval(d, word):
+    """The letter-by-letter fold of derivation_eval, kept as the oracle:
+    after each letter every payload so far is moved right by it."""
+    acc = {}
+    unresolved = []
+    payloads = {}
+    prefix = EMPTY
+    for letter in word:
+        if d.act_right is not None:
+            payloads = {d.act_right(p, (letter,)): c
+                        for p, c in payloads.items()}
+        for coeff, payload in d.images[letter]:
+            moved = d.act_left(prefix, payload)
+            payloads[moved] = payloads.get(moved, 0) + coeff
+        prefix = prefix + (letter,)
+    for payload, coeff in payloads.items():
+        if coeff == 0:
+            continue
+        cid = d.resolver(payload)
+        if cid is None:
+            unresolved.append(payload)
+        else:
+            acc[cid] = acc.get(cid, 0) + coeff
+            if acc[cid] == 0:
+                del acc[cid]
+    return list(acc.items()), unresolved
+
+
+def oracle_op_normal_form(ctx, w, factor):
+    """The per-letter op_normal_form, kept as the oracle: the word is cut
+    into blocks letter by letter, and each carry is built generator by
+    generator."""
+    blocks = []
+    cur = []
+    for letter in w:
+        if letter == ctx.t:
+            blocks.append(tuple(cur))
+            cur = []
+        else:
+            cur.append(letter)
+    blocks.append(tuple(cur))
+    cs = []
+    carry = EMPTY
+    for i, block in enumerate(blocks):
+        c, a_nf, gens = factor(carry + block)
+        cs.append(c)
+        if i + 1 < len(blocks):
+            carry = EMPTY
+            for g in gens:
+                carry = carry + ctx.phi[g]
+        else:
+            return constructions.OPNormalForm(tuple(cs), a_nf)
+
+
+@functools.lru_cache(maxsize=None)
+def random_context(kind, gens, letters="a"):
+    """An amalgam <x> *_W <y>, W free on one letter per (p, q) in gens with
+    w -> x^p and w -> y^q, or an Otto-Pride extension of the free monoid on
+    letters, with a t = t phi(a) per (a, phi(a)) in gens; None when
+    completion does not finish."""
+    try:
+        if kind == "amalgam":
+            names = "wvu"[:len(gens)]
+            return amalgam_context(AmalgamSpec(
+                free("x"), free("y"), free(*names),
+                {c: w("x") * p for c, (p, _) in zip(names, gens)},
+                {c: w("y") * q for c, (_, q) in zip(names, gens)}),
+                budget_limit=20000)
+        return op_context(OttoPrideSpec(
+            free(*letters), tuple(w(g) for g, _ in gens),
+            {w(g): w(image) for g, image in gens}), budget_limit=20000)
+    except IncompleteSystemError:
+        return None
+
+
+@st.composite
+def random_graph_cases(draw):
+    kind = draw(st.sampled_from(["amalgam", "otto_pride"]))
+    # A-generators over {a} or {a, b}, phi images of length 0 to 3
+    letters = draw(st.sampled_from(["a", "ab"]))
+    if kind == "amalgam":
+        gens = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    else:
+        word = st.text(letters, min_size=1, max_size=3)
+        gens = st.tuples(word, st.text(letters, max_size=3))
+    gens = tuple(draw(st.lists(gens, min_size=1, max_size=2,
+                               unique_by=lambda g: g[0])))
+    ctx = random_context(kind, gens, letters)
+    assume(ctx is not None)
+    # three letters make balls of radius 5 too large for a test
+    size = len(ctx.presentation.alphabet.letters)
+    radius = draw(st.integers(0, 5 if size == 2 else 3))
+    # small budgets truncate the balls
+    budget = draw(st.one_of(st.integers(0, 400), st.just(10**6)))
+    return (kind, draw(st.booleans()), ctx, radius, budget,
+            draw(st.integers(0, 3)))
+
+
+def random_images(draw, d, forest, words):
+    """d with each letter's image replaced by up to three random terms, so
+    that terms cancel, merge and leave the ball."""
+    payload = st.tuples(words, words) if forest else words
+    terms = st.lists(st.tuples(st.integers(-2, 2), payload), max_size=3)
+    return dataclasses.replace(d, images={
+        a: draw(terms) for a in d.images})
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(random_graph_cases(), st.data())
+def test_derivation_eval_matches_letter_fold(case, data):
+    # each occurrence's terms moved once, by the prefix before and the
+    # suffix after it, equal the fold that moves them letter by letter
+    g = build_graph(*case)
+    ctx, radius = case[2], case[3]
+    letters = ctx.presentation.alphabet.letters
+    words = st.lists(st.sampled_from(letters), max_size=radius + 3).map(
+        tuple)
+    if g.kind in DERIVATIONS:
+        d = DERIVATIONS[g.kind](ctx, g.edge_ball)
+    else:   # the amalgam forest: a bimodule derivation on its pairs
+        d = constructions.DerivationSpec(
+            {a: [] for a in letters},
+            lambda p: g.edge_ball.lookup(tuple(map(ctx.solver, p))),
+            ctx.solver, act_left=lambda u, p: (u + p[0], p[1]),
+            act_right=lambda p, v: (p[0], p[1] + v))
+    if data.draw(st.booleans()) or g.kind == "amalgam_forest":
+        d = random_images(data.draw, d, d.act_right is not None, words)
+    for word in data.draw(st.lists(words, min_size=1, max_size=6)):
+        got = derivation_eval(d, word)
+        assert (list(got.ze.items()), got.unresolved) == \
+            oracle_derivation_eval(d, word)
+        assert got.resolved == (not oracle_derivation_eval(d, word)[1])
+
+
+def spied(factor):
+    """factor, and the words it is asked to factor, in order."""
+    asked = []
+    return lambda m_word: asked.append(m_word) or factor(m_word), asked
+
+
+@settings(max_examples=150, deadline=None)
+@given(op_bases(), st.lists(st.text("at", max_size=10), min_size=1,
+                            max_size=20))
+@example((2, 1, [EMPTY]), ["tat", "aat"])
+@example((2, 1, [EMPTY, w("a"), w("aa")]), ["taat", "aatt"])
+@example((3, 2, [EMPTY, w("aa"), w("a")]), ["aaataat", "ataaat"])
+def test_op_normal_form_matches_per_letter_oracle(case, texts):
+    # blocks found by index and carries kept per generator sequence give
+    # the oracle's normal form, from the same factor calls in the same
+    # order, and a basis that is not free raises at the same block with the
+    # same text
+    k, j, basis = case
+    ctx = OPContext(op_spec(k, j, basis))
+    for text in texts:
+        word = w(text)
+        factor, asked = spied(ctx.factor)
+        with mock.patch.object(ctx, "factor", factor):
+            got = outcome(op_normal_form, ctx, word)
+        factor, want_asked = spied(functools.partial(oracle_factor, ctx))
+        assert got == outcome(oracle_op_normal_form, ctx, word, factor)
+        assert asked == want_asked
+
+
+def test_memoized_factor_failures_repeat():
+    # a basis that is not free: the failure text of the first call is kept
+    # and raised again, also when a normal form meets the same block
+    ambiguous = OPContext(op_spec(2, 1, [EMPTY, w("a"), w("aa")]))
+    missing = OPContext(op_spec(3, 1, [EMPTY]))
+    for ctx, word in ((ambiguous, w("aa")), (missing, w("a"))):
+        texts = [outcome(ctx.factor, word) for _ in range(3)]
+        texts.append(outcome(op_normal_form, ctx, w("t") + word))
+        assert texts == [outcome(oracle_factor, ctx, word)] * 4
+        assert texts[0][0] is FactorizationFailure
