@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .words import EMPTY, Alphabet, format_word
 from .rewriting import Verdict
-from .homology import CompositeNotZeroError, SparseIntMatrix
+from .homology import SparseIntMatrix
 from .special import transversal_factor
 
 
@@ -251,25 +251,21 @@ def check_unique_entrance(g: LabeledDigraph, rep: CondensationReport,
     return violations
 
 
-def hasse_prefix_tree(ua, ball: LabeledDigraph, labels) -> LabeledDigraph:
-    """Hasse diagram of the reverse prefix order on the transversal parts
-    of the given labels of the ball.  The parent of a transversal word is
-    its longest proper prefix in the set."""
+def hasse_prefix_tree(ua, alphabet, labels):
+    """(parts, arcs): the transversal parts of the given labels in shortlex
+    order, and the arcs (parent id, child id, suffix) of the Hasse diagram
+    of the reverse prefix order on them.  The parent of a transversal word
+    is its longest proper prefix in the set."""
     parts = {transversal_factor(ua, l).w_part for l in labels}
-    alphabet = ball.alphabet
     ordered = sorted(parts, key=alphabet.shortlex_key)
     ids = {w: i for i, w in enumerate(ordered)}
     arcs = []
     for w in ordered:
-        if not w:
-            continue
         for k in range(len(w) - 1, -1, -1):
             if w[:k] in parts:
                 arcs.append((ids[w[:k]], ids[w], format_word(w[k:])))
                 break
-    return LabeledDigraph(alphabet, ordered, arcs,
-                          [True] * len(ordered), [None] * len(ordered),
-                          ball.radius, 0, ids)
+    return ordered, arcs
 
 
 def _ahu_code(children, root):
@@ -306,18 +302,17 @@ def condensation_matches_hasse(ua, g: LabeledDigraph,
                                rep: CondensationReport):
     """Interior condensation and the transversal prefix tree built from the
     same vertices agree as rooted trees; None when the root's component is
-    partial, which happens only at radius 0."""
+    partial, which happens only at radius 0.  The tree's root, the empty
+    word, comes first in shortlex order."""
     inside = set(rep.interior_sccs())
     if rep.root_scc not in inside:
         return None
     labels = [g.vertices[v] for ci in inside for v in rep.sccs[ci]]
-    hasse = hasse_prefix_tree(ua, g, labels)
+    hasse_arcs = hasse_prefix_tree(ua, g.alphabet, labels)[1]
     cond_edges = [(s, d) for s, d, _ in rep.dag_arcs
                   if s in inside and d in inside]
-    hasse_edges = [(s, d) for s, d, _ in hasse.arcs]
-    root_h = hasse.ids[EMPTY]
     return rooted_trees_isomorphic(cond_edges, rep.root_scc,
-                                   hasse_edges, root_h)
+                                   [(s, d) for s, d, _ in hasse_arcs], 0)
 
 
 @dataclass
@@ -329,77 +324,75 @@ class ChainComplexExport:
     skipped: list                # vertices whose relator loop leaves the ball
 
 
-def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
-    """Fill in one 2-cell per vertex whose relator-labeled loop closes
-    inside the ball; export the integer boundary maps.  A cell's boundary
-    is a closed edge path, so boundary1 boundary2 = 0 with no check.
-
-    Requires at most one relator (none for a free monoid, which gets an
-    empty degree-2 part)."""
+def relator_cells(sp, ball: LabeledDigraph):
+    """(cells, skipped): a 2-cell (base vertex, arc ids) for each vertex
+    whose relator-labeled loop closes inside the ball, and the vertices
+    whose loop leaves it.  Requires at most one relator (none for a free
+    monoid, which gets no cell)."""
     if len(sp.relators) > 1:
         raise CayleyError("chain export expects a one-relator presentation")
-    arc_index = {}
-    for k, (s, d, a) in enumerate(ball.arcs):
-        arc_index[s, a] = (d, k)
+    arc_index = {(s, a): (d, k) for k, (s, d, a) in enumerate(ball.arcs)}
+    cells, skipped = [], []
+    for relator in sp.relators:
+        for v in range(len(ball.vertices)):
+            cur, path = v, []
+            for a in relator:
+                hit = arc_index.get((cur, a))
+                if hit is None:
+                    skipped.append(v)
+                    break
+                cur, k = hit
+                path.append(k)
+            else:
+                if cur != v:
+                    raise CayleyError(
+                        f"relator loop at vertex {v} does not close")
+                cells.append((v, path))
+    return cells, skipped
 
-    n_v = len(ball.vertices)
-    n_e = len(ball.arcs)
+
+def _cell_boundary(cells, row, rows):
+    """The rows x cells map of each cell to the sum of its arcs, on the
+    arcs that row numbers (an arc id -> row id map)."""
+    m = {}
+    for c, (_v, path) in enumerate(cells):
+        for k in path:
+            if k in row:
+                m[row[k], c] = m.get((row[k], c), 0) + 1
+    return SparseIntMatrix(rows, len(cells), m)
+
+
+def cayley_complex_chain(sp, ball: LabeledDigraph) -> ChainComplexExport:
+    """The integer boundary maps and the augmentation of the ball's
+    relator-filled 2-complex.  A cell's boundary is a closed edge path, so
+    boundary1 boundary2 = 0 with no check."""
+    cells, skipped = relator_cells(sp, ball)
+    n_v, n_e = len(ball.vertices), len(ball.arcs)
     b1 = {}                 # a loop's -1 lands on its +1: a zero column
     for k, (s, d, _a) in enumerate(ball.arcs):
         b1[d, k] = 1
         b1[s, k] = b1.get((s, k), 0) - 1
-
-    cells = []
-    skipped = []
-    relator = sp.relators[0] if sp.relators else None
-    if relator is not None:
-        for v in range(n_v):
-            cur = v
-            path = []
-            ok = True
-            for a in relator:
-                hit = arc_index.get((cur, a))
-                if hit is None:
-                    ok = False
-                    break
-                cur, k = hit
-                path.append(k)
-            if not ok:
-                skipped.append(v)
-                continue
-            if cur != v:
-                raise CayleyError(
-                    f"relator loop at vertex {v} does not close")
-            cells.append((v, path))
-
-    b2 = {}
-    for ci, (_v, path) in enumerate(cells):
-        for k in path:
-            b2[k, ci] = b2.get((k, ci), 0) + 1
-
     aug = SparseIntMatrix(1, n_v, {(0, i): 1 for i in range(n_v)})
     return ChainComplexExport(SparseIntMatrix(n_v, n_e, b1),
-                              SparseIntMatrix(n_e, len(cells), b2), aug,
+                              _cell_boundary(cells, range(n_e), n_e), aug,
                               [v for v, _ in cells], skipped)
 
 
-def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
-    """(e, d1, d2): the augmented complex with the ball's BFS tree
-    contracted, of export's homology and defects; export's maps must
-    compose to zero.  Pairing each non-root vertex with its first in-arc,
-    from the level above, is an acyclic matching (Forman; Skoldberg):
-    parent chains lower depth.  No arc is paired with a 2-cell, so d2 is
-    boundary2 on the other arcs, in arc order; a path from such an arc meets
-    the root with +1 and -1, so d1 = 0 and degree 0 keeps Betti number 1
-    and no torsion.  The cycles of Z^E project isomorphically onto the other
-    arcs and Z^E / im boundary2 is H1 plus a free part: d2 has boundary2's
-    rank and factors above 1.  The matching sends each vertex to the root
-    along tree arcs, where the augmentation is constant as it kills
-    boundary1; so e is its column at the root, [1] for the all-ones map."""
-    if not export.boundary1.composes_to_zero(export.boundary2):
-        raise CompositeNotZeroError("boundary1 boundary2 is not zero")
-    if not export.augmentation.composes_to_zero(export.boundary1):
-        raise CompositeNotZeroError("augmentation boundary1 is not zero")
+def contract_tree(ball: LabeledDigraph, cells):
+    """(e, d1, d2): relator_cells' complex on the ball, augmented by the
+    all-ones map, with the ball's BFS tree contracted, of the full maps'
+    homology and defects.  A cell's column is a closed loop, so a cycle,
+    and the all-ones map kills every arc's column, so both composites are
+    zero by construction.  Pairing each non-root vertex with its first
+    in-arc, from the level above, is an acyclic matching (Forman;
+    Skoldberg): parent chains lower depth.  No arc is paired with a 2-cell,
+    so d2 is boundary2 on the other arcs, in arc order; a path from such
+    an arc meets the root with +1 and -1, so d1 = 0 and degree 0 keeps
+    Betti number 1 and no torsion.  The cycles of Z^E project
+    isomorphically onto the other arcs and Z^E / im boundary2 is H1 plus a
+    free part: d2 has boundary2's rank and factors above 1.  The matching
+    sends each vertex to the root along tree arcs, so e is the all-ones
+    map's column at the root, [1]."""
     reached = [True] + [False] * (len(ball.vertices) - 1)  # root: no arc
     row = {}                # non-tree arc -> its row of d2
     for k, (s, d, _a) in enumerate(ball.arcs):
@@ -411,10 +404,5 @@ def contract_tree(ball: LabeledDigraph, export: ChainComplexExport):
             reached[d] = True
     if not all(reached):
         raise CayleyError("a vertex of the ball has no arc into it")
-    d2 = SparseIntMatrix(len(row), export.boundary2.cols, {
-        (row[k], c): v for (k, c), v in export.boundary2.entries.items()
-        if k in row})
-    aug = export.augmentation
-    e = SparseIntMatrix(aug.rows, 1, {
-        (r, 0): v for (r, c), v in aug.entries.items() if c == 0})
-    return e, SparseIntMatrix(1, len(row)), d2
+    return (SparseIntMatrix(1, 1, {(0, 0): 1}), SparseIntMatrix(1, len(row)),
+            _cell_boundary(cells, row, len(row)))

@@ -52,6 +52,7 @@ from .cayley import (
     check_unique_entrance,
     condensation_matches_hasse,
     contract_tree,
+    relator_cells,
     scc_condense,
 )
 from .homology import HomologyError, chain_homology, exactness_check
@@ -473,8 +474,7 @@ def cmd_chain(args):
 def cmd_homology(args):
     sp = validate_special(_load_presentation(args.presentation, args.order))
     g = _ball_from_args(args, sp.base)
-    export = cayley_complex_chain(sp, g)
-    augmentation, d1, d2 = contract_tree(g, export)
+    augmentation, d1, d2 = contract_tree(g, relator_cells(sp, g)[0])
     homology = chain_homology([d1, d2])
     exact = exactness_check(homology, d1, augmentation)
     _emit_json(args, {"homology": homology, "exactness": exact})

@@ -326,8 +326,6 @@ class _Pairs(Sequence):
 
 @dataclass
 class QuotientBall:
-    side: str
-    radius: int
     elements: Sequence      # element id -> normal-form word, or pair of them
     class_of: list          # element id -> class id
     classes: list           # class id -> sorted member element ids
@@ -355,7 +353,7 @@ class QuotientBall:
     def rep(self, class_id):
         return self.elements[self.classes[class_id][0]]
 
-    def rep_names(self, class_ids, before="", after=""):
+    def rep_names(self, class_ids, before, after):
         """The representatives (least members) of the given classes as text
         between before and after: a word, or a pair x,y (element i * n + j
         of a pair ball), from one name per vertex of the n-vertex ball."""
@@ -366,19 +364,8 @@ class QuotientBall:
         return [xs[c[0] // n] + ys[c[0] % n]
                 for c in map(self.classes.__getitem__, class_ids)]
 
-    def to_json(self):
-        ids = range(len(self.classes))
-        return {
-            "side": self.side,
-            "radius": self.radius,
-            "classes": Columns(
-                id=list(ids), representative=self.rep_names(ids),
-                size=list(map(len, self.classes)), partial=self.partial),
-            "truncated": self.truncated,
-        }
 
-
-def _quotient(side, ball, elements, k, joins, budget_limit, pair=False):
+def _quotient(ball, elements, k, joins, budget_limit, pair=False):
     """Classes of elements under their generator moves: k per element, in
     order, each one budget step, so the first min(len(elements) * k,
     budget) run; joins(m) gives the id pairs the first m moves join (a
@@ -400,12 +387,12 @@ def _quotient(side, ball, elements, k, joins, budget_limit, pair=False):
                 for i in range(bisect_right(depth, d))))
         for c in set(map(class_of.__getitem__, settled)):
             partial[c] = False
-    return QuotientBall(side, ball.radius, elements, class_of, classes,
-                        partial, run < total, pair, ball)
+    return QuotientBall(elements, class_of, classes, partial, run < total,
+                        pair, ball)
 
 
 def quotient_ball(solver, ball: LabeledDigraph, k_gens,
-                  budget_limit=DEFAULT_BUDGET, side="L/K") -> QuotientBall:
+                  budget_limit=DEFAULT_BUDGET) -> QuotientBall:
     """Weak orbits of right multiplication by the submonoid generated by
     k_gens, restricted to the Cayley ball built with solver.  Classes whose
     members all lie within the ball's margin of its boundary are partial:
@@ -421,11 +408,11 @@ def quotient_ball(solver, ball: LabeledDigraph, k_gens,
             if j is not None:
                 yield i, j
 
-    return _quotient(side, ball, list(elements), k, joins, budget_limit)
+    return _quotient(ball, list(elements), k, joins, budget_limit)
 
 
 def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
-                       budget_limit=DEFAULT_BUDGET, side="LxL/K",
+                       budget_limit=DEFAULT_BUDGET,
                        twist=None) -> QuotientBall:
     """Tensor classes of pairs from the Cayley ball (built with solver)
     under the transfer moves (x.g, y) ~ (x, twist(g).y) for each generator
@@ -461,7 +448,7 @@ def pair_quotient_ball(solver, ball: LabeledDigraph, k_gens,
                     ys.extend(map((i * n).__add__, gys[:width]))
         return zip(xs, ys)
 
-    return _quotient(side, ball, _Pairs(elements), k, joins, budget_limit,
+    return _quotient(ball, _Pairs(elements), k, joins, budget_limit,
                      pair=True)
 
 
@@ -631,11 +618,11 @@ def _bass_serre(kind, radius, vertex_balls, edge_side, edge_ball,
 def _balls(build, ctx, radius, budget_limit, margin):
     """build (quotient_ball or pair_quotient_ball) on the one Cayley ball of
     ctx's presentation at radius and margin, as a function of the
-    generators and side; the margin defaults to the longest relation side."""
+    generators; the margin defaults to the longest relation side."""
     margin = longest_side(ctx.presentation) if margin is None else margin
     ball = cayley_ball(ctx.solver, ctx.presentation.alphabet, radius, margin)
-    return lambda gens, side, **twist: build(
-        ctx.solver, ball, gens, budget_limit, side=side, **twist)
+    return lambda gens, **twist: build(
+        ctx.solver, ball, gens, budget_limit, **twist)
 
 
 @dataclass
@@ -667,9 +654,9 @@ def bass_serre_ball_amalgam(ctx: AmalgamContext, radius: int,
     ball = _balls(quotient_ball, ctx, radius, budget_limit, margin)
     return _bass_serre(
         "amalgam", radius,
-        {"M1": ball([(a,) for a in ctx.m1_letters], "L/M1"),
-         "M2": ball([(a,) for a in ctx.m2_letters], "L/M2")},
-        "W", ball(ctx.w_images, "L/W"))
+        {"M1": ball([(a,) for a in ctx.m1_letters]),
+         "M2": ball([(a,) for a in ctx.m2_letters])},
+        "W", ball(ctx.w_images))
 
 
 @dataclass
@@ -703,8 +690,8 @@ def bass_serre_ball_op(ctx: OPBallContext, radius: int,
 
     return _bass_serre(
         "otto_pride", radius,
-        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")},
-        "A", ball(ctx.a_images, "L/A"), ends)
+        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters])},
+        "A", ball(ctx.a_images), ends)
 
 
 def bass_serre_forest_bi(ctx, radius: int, budget_limit=DEFAULT_BUDGET,
@@ -718,9 +705,9 @@ def bass_serre_forest_bi(ctx, radius: int, budget_limit=DEFAULT_BUDGET,
     if isinstance(ctx, AmalgamContext):
         return _bass_serre(
             "amalgam_forest", radius,
-            {"M1": ball([(a,) for a in ctx.m1_letters], "LxL/M1"),
-             "M2": ball([(a,) for a in ctx.m2_letters], "LxL/M2")},
-            "W", ball(ctx.w_images, "LxL/W"))
+            {"M1": ball([(a,) for a in ctx.m1_letters]),
+             "M2": ball([(a,) for a in ctx.m2_letters])},
+            "W", ball(ctx.w_images))
     t = (ctx.spec.stable_letter,)
 
     def ends(edge_ball):
@@ -738,8 +725,8 @@ def bass_serre_forest_bi(ctx, radius: int, budget_limit=DEFAULT_BUDGET,
 
     return _bass_serre(
         "otto_pride_forest", radius,
-        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters], "LxL/M")},
-        "A", ball(ctx.a_images, "LxL/A", twist={
+        {"M": ball([(a,) for a in ctx.spec.m.alphabet.letters])},
+        "A", ball(ctx.a_images, twist={
             tuple(g): tuple(v) for g, v in ctx.spec.phi.items()}),
         ends)
 

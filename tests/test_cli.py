@@ -521,40 +521,21 @@ def test_chain_composite_zero_is_computed(capsys, bicyclic_file,
 
 
 def test_homology_rejects_a_non_complex(capsys, bicyclic_file, monkeypatch):
-    # the tree contraction keeps the homology of a complex only, so the
-    # composite of the full maps is checked first
-    def open_cell(sp, g):
-        export = cayley_complex_chain(sp, g)
-        return dataclasses.replace(export, boundary2=SparseIntMatrix(
-            export.boundary2.rows, 1, {(0, 0): 1}))
-
-    monkeypatch.setattr(cli, "cayley_complex_chain", open_cell)
-    code = main(["homology", "--presentation", bicyclic_file,
-                 "--radius", "3"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "CompositeNotZeroError"
-
-
-def test_homology_rejects_an_augmentation_that_is_no_chain_map(
-        capsys, bicyclic_file, monkeypatch):
-    # a boundary1 column that sums to 1 is no arc's boundary; with no
-    # 2-cells only the augmentation's composite sees it, and the tree
-    # contraction, which needs it, checks it on the full maps
-    def bad_column(sp, g):
-        export = cayley_complex_chain(sp, g)
-        b1 = export.boundary1
+    # a relator loop that does not close bounds no 2-cell: with the arc
+    # a from the root sent to b, the loop ab at the root ends at bb
+    def redirected(args, p):
+        g = ball_from_args(args, p)
+        k = g.arcs.index((0, 1, "a"))
         return dataclasses.replace(
-            export, boundary1=SparseIntMatrix(
-                b1.rows, b1.cols, {**b1.entries, (g.arcs[0][1], 0): 2}),
-            boundary2=SparseIntMatrix(b1.cols, 0))
+            g, arcs=g.arcs[:k] + [(0, 2, "a")] + g.arcs[k + 1:])
 
-    monkeypatch.setattr(cli, "cayley_complex_chain", bad_column)
+    ball_from_args = cli._ball_from_args
+    monkeypatch.setattr(cli, "_ball_from_args", redirected)
     code = main(["homology", "--presentation", bicyclic_file,
                  "--radius", "3"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert json.loads(captured.err)["error"] == "CompositeNotZeroError"
+    assert json.loads(captured.err)["error"] == "CayleyError"
 
 
 def test_homology(capsys, bicyclic_file):

@@ -332,21 +332,19 @@ def ball_of(ctx, radius, margin=0):
 
 def test_quotient_ball_submonoid_collapses(octx):
     # all powers of a fall into the class of 1 under right multiplication by a
-    qb = quotient_ball(octx.solver, ball_of(octx, 5), [w("a")], side="L/M")
+    qb = quotient_ball(octx.solver, ball_of(octx, 5), [w("a")])
     assert qb.lookup(EMPTY) == qb.lookup(w("a")) == qb.lookup(w("aaa"))
 
 
 def test_quotient_ball_parity(octx):
     # A is generated by aa, so 1 and a sit in different classes of L/A
-    qb = quotient_ball(octx.solver, ball_of(octx, 6), octx.a_images,
-                       side="L/A")
+    qb = quotient_ball(octx.solver, ball_of(octx, 6), octx.a_images)
     assert qb.lookup(EMPTY) != qb.lookup(w("a"))
     assert qb.lookup(EMPTY) == qb.lookup(w("aa"))
 
 
 def test_quotient_ball_partial_flags(octx):
-    qb = quotient_ball(octx.solver, ball_of(octx, 4, 2), octx.a_images,
-                       side="L/A")
+    qb = quotient_ball(octx.solver, ball_of(octx, 4, 2), octx.a_images)
     assert not qb.partial[qb.lookup(EMPTY)]
     deep = [ci for ci in range(len(qb.classes)) if qb.partial[ci]]
     for ci in deep:
@@ -356,18 +354,20 @@ def test_quotient_ball_partial_flags(octx):
 def test_quotient_ball_json_deterministic(octx):
     a = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images)
     b = quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images)
-    assert a.to_json() == b.to_json()
+    ids = range(len(a.classes))
+    assert ball_fields(a) == ball_fields(b)
+    assert a.rep_names(ids, "", "") == b.rep_names(ids, "", "")
 
 
 def test_pair_quotient_twist(octx):
     # in the A-tensor twisted by phi, (x.aa, y) ~ (x, a.y)
     phi = {w("aa"): w("a")}
     pq = pair_quotient_ball(octx.solver, ball_of(octx, 4), octx.a_images,
-                            side="LxL/A", twist=phi)
+                            twist=phi)
     assert pq.lookup((w("aa"), EMPTY)) == pq.lookup((EMPTY, w("a")))
-    assert pq.to_json()["classes"]["representative"][0] == "1,1"
+    assert pq.rep_names([0], "", "") == ["1,1"]
     untwisted = pair_quotient_ball(octx.solver, ball_of(octx, 4),
-                                   octx.a_images, side="LxL/A")
+                                   octx.a_images)
     assert untwisted.lookup((w("aa"), EMPTY)) == untwisted.lookup(
         (EMPTY, w("aa")))
 
@@ -377,7 +377,7 @@ def test_pair_quotient_twist(octx):
 # normalizes x.g and twist(g).y for every pair.
 
 
-def oracle_finish(side, radius, elements, uf, depth, margin, truncated,
+def oracle_finish(radius, elements, uf, depth, margin, truncated,
                   pair=False, ball=None):
     n = len(elements)
     groups = {}
@@ -391,13 +391,13 @@ def oracle_finish(side, radius, elements, uf, depth, margin, truncated,
             class_of[v] = ci
         partial.append(truncated
                        or min(depth[v] for v in members) > radius - margin)
-    return QuotientBall(side, radius, list(elements), class_of,
+    return QuotientBall(list(elements), class_of,
                         [sorted(m) for m in ordered], partial, truncated,
                         pair, ball)
 
 
 def oracle_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
-                         side="L/K", margin=0):
+                         margin=0):
     ball = cayley_ball(solver, alphabet, radius, 0)
     elements, depth = ball.vertices, ball.depth
     ids = {x: i for i, x in enumerate(elements)}
@@ -414,12 +414,12 @@ def oracle_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
                 uf.union(i, j)
         if truncated:
             break
-    return oracle_finish(side, radius, elements, uf, depth, margin,
+    return oracle_finish(radius, elements, uf, depth, margin,
                          truncated, ball=ball)
 
 
 def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
-                              side="LxL/K", margin=0, twist=None):
+                              margin=0, twist=None):
     ball = cayley_ball(solver, alphabet, radius, 0)
     eset = dict(zip(ball.vertices, ball.depth))
     pairs = [(x, y) for x in ball.vertices for y in ball.vertices]
@@ -442,7 +442,7 @@ def oracle_pair_quotient_ball(solver, alphabet, k_gens, radius, budget_limit,
                 uf.union(ids[xg, y], ids[x, gy])
         if truncated:
             break
-    return oracle_finish(side, radius, pairs, uf, pair_depth, margin,
+    return oracle_finish(radius, pairs, uf, pair_depth, margin,
                          truncated, pair=True, ball=ball)
 
 
@@ -453,8 +453,8 @@ def oracle_lookup(qb):
 
 
 def ball_fields(qb):
-    return (qb.side, qb.radius, qb.elements, qb.class_of, qb.classes,
-            qb.partial, qb.truncated, qb.pair)
+    return (qb.elements, qb.class_of, qb.classes, qb.partial, qb.truncated,
+            qb.pair)
 
 
 @functools.lru_cache(maxsize=None)
@@ -501,7 +501,8 @@ def test_pair_quotient_ball_matches_per_pair_oracle(case):
     want = oracle_quotient_ball(ctx.solver, alphabet, k_gens, radius, budget,
                                 margin=margin)
     assert ball_fields(got) == ball_fields(want)
-    assert got.to_json() == want.to_json()
+    ids = range(len(want.classes))
+    assert got.rep_names(ids, "", "") == want.rep_names(ids, "", "")
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,7 +551,7 @@ def test_union_find_classes_match_sorted_grouping(case):
     for x, y in unions[:split]:
         uf.union(x, y)
     uf.union_all(iter(unions[split:]))
-    want = oracle_finish("K", 0, list(range(n)), uf, [0] * n, 0, False)
+    want = oracle_finish(0, list(range(n)), uf, [0] * n, 0, False)
     assert uf.classes() == (want.class_of, want.classes)
     # and the classes are the connected components of the unions
     comp = {i: {i} for i in range(n)}
@@ -865,13 +866,13 @@ def oracle_graph(kind, radius, vertex_balls, edge_side, edge_ball, edges,
 
 
 def oracle_amalgam_tree(ctx, radius, budget, margin):
-    def ball(gens, side):
+    def ball(gens):
         return oracle_quotient_ball(ctx.solver, ctx.presentation.alphabet,
-                                    gens, radius, budget, side, margin)
+                                    gens, radius, budget, margin)
 
-    qb1 = ball([(a,) for a in ctx.m1_letters], "L/M1")
-    qb2 = ball([(a,) for a in ctx.m2_letters], "L/M2")
-    qbw = ball(ctx.w_images, "L/W")
+    qb1 = ball([(a,) for a in ctx.m1_letters])
+    qb2 = ball([(a,) for a in ctx.m2_letters])
+    qbw = ball(ctx.w_images)
     gid = vertex_ids(("M1", qb1), ("M2", qb2))
     edges = []
     diagnostics = []
@@ -891,13 +892,13 @@ def oracle_amalgam_tree(ctx, radius, budget, margin):
 
 
 def oracle_op_tree(ctx, radius, budget, margin):
-    def ball(gens, side):
+    def ball(gens):
         return oracle_quotient_ball(ctx.solver, ctx.presentation.alphabet,
-                                    gens, radius, budget, side, margin)
+                                    gens, radius, budget, margin)
 
     t = ctx.spec.stable_letter
-    qbm = ball([(a,) for a in ctx.spec.m.alphabet.letters], "L/M")
-    qba = ball(ctx.a_images, "L/A")
+    qbm = ball([(a,) for a in ctx.spec.m.alphabet.letters])
+    qba = ball(ctx.a_images)
     edges = []
     diagnostics = []
     find = oracle_lookup(qbm)
@@ -920,14 +921,14 @@ def oracle_op_tree(ctx, radius, budget, margin):
 
 
 def oracle_amalgam_forest(ctx, radius, budget, margin):
-    def ball(gens, side):
+    def ball(gens):
         return oracle_pair_quotient_ball(
             ctx.solver, ctx.presentation.alphabet, gens, radius, budget,
-            side, margin)
+            margin)
 
-    pq1 = ball([(a,) for a in ctx.m1_letters], "LxL/M1")
-    pq2 = ball([(a,) for a in ctx.m2_letters], "LxL/M2")
-    pqe = ball(ctx.w_images, "LxL/W")
+    pq1 = ball([(a,) for a in ctx.m1_letters])
+    pq2 = ball([(a,) for a in ctx.m2_letters])
+    pqe = ball(ctx.w_images)
     gid = vertex_ids(("M1", pq1), ("M2", pq2))
     edges = []
     find1, find2 = oracle_lookup(pq1), oracle_lookup(pq2)
@@ -947,9 +948,9 @@ def oracle_op_forest(ctx, radius, budget, margin):
     alphabet = ctx.presentation.alphabet
     pqm = oracle_pair_quotient_ball(
         ctx.solver, alphabet, [(a,) for a in ctx.spec.m.alphabet.letters],
-        radius, budget, "LxL/M", margin)
+        radius, budget, margin)
     pqa = oracle_pair_quotient_ball(
-        ctx.solver, alphabet, ctx.a_images, radius, budget, "LxL/A", margin,
+        ctx.solver, alphabet, ctx.a_images, radius, budget, margin,
         twist={tuple(g): tuple(v) for g, v in ctx.spec.phi.items()})
     edges = []
     find = oracle_lookup(pqm)

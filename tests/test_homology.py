@@ -578,17 +578,25 @@ def test_homology_artifact_unchanged_by_pivot_heap(
     ("abba", 5), ("abc", 4), ("aabb", 0), ("aabb", 1)])
 def test_homology_artifact_unchanged_by_tree_contraction(
         relator, radius, tmp_path, capsys, monkeypatch):
-    """homology eliminates the complex with its BFS tree contracted; with
-    the full complex it writes the same artifact and exits the same."""
+    """homology eliminates the complex of the relator cells with its BFS
+    tree contracted; with the full maps and the all-ones augmentation it
+    writes the same artifact and exits the same."""
+    text = (f"letters: {' '.join(sorted(set(relator)))}\n"
+            f"rel: {' '.join(relator)} = 1\n")
     f = tmp_path / "p.txt"
-    f.write_text(f"letters: {' '.join(sorted(set(relator)))}\n"
-                 f"rel: {' '.join(relator)} = 1\n")
+    f.write_text(text)
     argv = ["homology", "--presentation", str(f), "--radius", str(radius),
             "--budget", "20000"]
     contracted_rc = main(argv)
     contracted_out = capsys.readouterr().out
-    monkeypatch.setattr(cli, "contract_tree", lambda ball, export: (
-        export.augmentation, export.boundary1, export.boundary2))
+
+    def full_maps(ball, cells):
+        export = cayley_complex_chain(
+            validate_special(parse_presentation(text)), ball)
+        assert export.cell_base_vertices == [v for v, _ in cells]
+        return export.augmentation, export.boundary1, export.boundary2
+
+    monkeypatch.setattr(cli, "contract_tree", full_maps)
     assert main(argv) == contracted_rc
     assert capsys.readouterr().out == contracted_out
 
@@ -699,14 +707,13 @@ def test_homology_artifact_matches_oracle(relator, radius):
 
 def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
     """One round of the cayley-homology benchmark workload, seed 1: 22
-    homology and 22 chain jobs.  Each job checks that boundary1 composes
-    with boundary2 to zero, and each homology job also the augmentation's
-    composite with boundary1 (66 checks that sum entries), then the
-    composites of the contracted complex, chain_homology's and
-    exactness_check's, whose d1 has no entry (44 more, answered at once);
-    each homology job takes the Smith forms of its two contracted
-    boundaries (44) and the rank of its contracted augmentation, a 1 x 1
-    map (22)."""
+    homology and 22 chain jobs.  Each chain job checks that boundary1
+    composes with boundary2 to zero (22 checks that sum entries); each
+    homology job builds neither boundary1 nor the augmentation, and checks
+    only the composites of the contracted complex, chain_homology's and
+    exactness_check's, whose d1 has no entry (44, answered at once), takes
+    the Smith forms of its two contracted boundaries (44) and the rank of
+    its contracted augmentation, a 1 x 1 map (22)."""
     monkeypatch.syspath_prepend(os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
     import workloads
@@ -736,7 +743,7 @@ def test_one_pass_per_cayley_homology_job(tmp_path, monkeypatch):
     for job in jobs:
         assert job.run()[0] == 0
     assert len(jobs) == 44
-    assert calls == {"composes": 110, "composes_summed": 66,
+    assert calls == {"composes": 66, "composes_summed": 22,
                      "smith_normal_form": 44, "rank_exact": 22,
                      ("rank_exact", 1, 1): 22}
 
